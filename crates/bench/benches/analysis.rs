@@ -3,7 +3,7 @@
 
 use emeralds_bench::microbench::BenchGroup;
 use emeralds_hal::CostModel;
-use emeralds_sched::analysis::AnalysisLimits;
+use emeralds_sched::analysis::{csd_test, AnalysisLimits, Band};
 use emeralds_sched::partition::find_partition;
 use emeralds_sched::{
     breakdown_utilization, edf_test, rm_test, BreakdownOptions, InflatedTask, OverheadModel,
@@ -36,6 +36,26 @@ fn bench_tests() {
         g.bench(format!("edf/{n}"), || black_box(edf_test(&inf)));
         g.bench(format!("rm_rta/{n}"), || black_box(rm_test(&inf)));
     }
+    // CSD-3 over 30 tasks: two EDF bands and the FP band, so the
+    // second DP band and the FP band carry higher-band interference.
+    let ts = workload(30, 4);
+    let inf = inflated(&ts);
+    let bands = [
+        Band {
+            edf: true,
+            tasks: &inf[..8],
+        },
+        Band {
+            edf: true,
+            tasks: &inf[8..18],
+        },
+        Band {
+            edf: false,
+            tasks: &inf[18..],
+        },
+    ];
+    assert!(csd_test(&bands).is_schedulable(), "bench set must pass");
+    g.bench("csd3_bands/30", || black_box(csd_test(&bands)));
 }
 
 fn bench_partition_search() {
@@ -72,7 +92,9 @@ fn bench_breakdown() {
     for sched in [
         SchedulerConfig::Edf,
         SchedulerConfig::Rm,
+        SchedulerConfig::Csd(2),
         SchedulerConfig::Csd(3),
+        SchedulerConfig::Csd(4),
     ] {
         g.bench(sched.label(), || {
             black_box(breakdown_utilization(&ts, sched, &ovh, &opts))

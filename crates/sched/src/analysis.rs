@@ -11,12 +11,12 @@
 //! - **RM**: response-time analysis, exact for fixed priorities.
 //! - **CSD**: hierarchical bands — EDF inside each DP queue, queues
 //!   (and the FP queue below them) in fixed priority order. Each EDF
-//!   band is checked with a processor-demand test against the
-//!   request-bound interference of all higher bands; FP tasks are
-//!   checked with RTA against all DP tasks plus higher-priority FP
-//!   tasks. The band test is *safe* (sufficient): it never accepts a
-//!   workload that would miss deadlines (validated against the kernel
-//!   simulator in the integration tests).
+//!   band is checked with a processor-demand test (walked downward,
+//!   QPA-style) against the request-bound interference of all higher
+//!   bands; FP tasks are checked with RTA against all DP tasks plus
+//!   higher-priority FP tasks. The band test is *safe* (sufficient):
+//!   it never accepts a workload that would miss deadlines (validated
+//!   against the kernel simulator in the integration tests).
 
 use emeralds_sim::Duration;
 
@@ -117,82 +117,6 @@ pub fn edf_test_with(tasks: &[InflatedTask], limits: AnalysisLimits) -> TestOutc
     edf_band_test(tasks, &[], limits)
 }
 
-/// Zhang–Burns Quick Processor-demand Analysis: an exact EDF test for
-/// constrained deadlines that iterates `t ← h(t)` downward from the
-/// busy period instead of enumerating every absolute deadline. Agrees
-/// with [`edf_test_with`] (property-tested) while visiting far fewer
-/// points.
-pub fn edf_qpa(tasks: &[InflatedTask], limits: AnalysisLimits) -> TestOutcome {
-    if tasks.is_empty() {
-        return TestOutcome::Schedulable;
-    }
-    if tasks.iter().any(|t| t.cost > t.deadline) {
-        return TestOutcome::Unschedulable;
-    }
-    let u: f64 = tasks.iter().map(InflatedTask::utilization).sum();
-    if u > 1.0 {
-        return TestOutcome::Unschedulable;
-    }
-    if tasks.iter().all(|t| t.deadline == t.period) {
-        return TestOutcome::Schedulable;
-    }
-    // Busy period.
-    let mut w: Duration = tasks.iter().map(|t| t.cost).sum();
-    let mut iters = 0u32;
-    let busy = loop {
-        iters += 1;
-        if iters > 10_000 || w > limits.horizon {
-            return TestOutcome::Undecided;
-        }
-        let next: Duration = tasks.iter().map(|t| rbf(t, w)).sum();
-        if next == w {
-            break w;
-        }
-        w = next;
-    };
-    let d_min = tasks.iter().map(|t| t.deadline).min().expect("nonempty");
-    let h = |l: Duration| -> Duration { tasks.iter().map(|t| dbf(t, l)).sum() };
-    // Largest absolute deadline strictly below `limit`.
-    let max_deadline_below = |limit: Duration| -> Option<Duration> {
-        tasks
-            .iter()
-            .filter_map(|t| {
-                if t.deadline >= limit {
-                    return None;
-                }
-                let k = (limit - t.deadline - Duration::from_ns(1)) / t.period;
-                Some(t.deadline + t.period * k)
-            })
-            .max()
-    };
-    let Some(mut t) = max_deadline_below(busy) else {
-        return TestOutcome::Schedulable;
-    };
-    let mut steps = 0usize;
-    while h(t) <= t && h(t) > d_min {
-        steps += 1;
-        if steps > limits.max_points {
-            return TestOutcome::Undecided;
-        }
-        let ht = h(t);
-        if ht < t {
-            t = ht;
-        } else {
-            match max_deadline_below(t) {
-                Some(next) => t = next,
-                None => return TestOutcome::Schedulable,
-            }
-        }
-    }
-    if h(t) <= d_min.min(t) {
-        TestOutcome::Schedulable
-    } else if h(t) > t {
-        TestOutcome::Unschedulable
-    } else {
-        TestOutcome::Schedulable
-    }
-}
-
 /// Exact RM (fixed-priority) response-time analysis. `tasks` must be
 /// in priority order, highest first.
 pub fn rm_test(tasks: &[InflatedTask]) -> TestOutcome {
@@ -201,14 +125,14 @@ pub fn rm_test(tasks: &[InflatedTask]) -> TestOutcome {
 
 /// [`rm_test`] with explicit analysis limits.
 pub fn rm_test_with(tasks: &[InflatedTask], limits: AnalysisLimits) -> TestOutcome {
-    for (i, t) in tasks.iter().enumerate() {
-        match response_time(t, &tasks[..i], &[], limits) {
-            ResponseTime::Within => {}
-            ResponseTime::Misses => return TestOutcome::Unschedulable,
-            ResponseTime::Overflow => return TestOutcome::Undecided,
-        }
-    }
-    TestOutcome::Schedulable
+    rm_band_test(tasks, &[], limits)
+}
+
+/// The position in `tasks` (priority order, highest first) of the
+/// first task whose response time is not proven within its deadline,
+/// or `None` when [`rm_test_with`] accepts the set.
+pub(crate) fn rm_first_failure(tasks: &[InflatedTask], limits: AnalysisLimits) -> Option<usize> {
+    rta_first_failure(tasks, &[], limits).map(|(i, _)| i)
 }
 
 /// The hierarchical CSD test over priority-ordered `bands` (highest
@@ -240,7 +164,7 @@ pub fn csd_test_with(bands: &[Band<'_>], limits: AnalysisLimits) -> TestOutcome 
 
 /// Request-bound function: worst-case demand of jobs of `t` *released*
 /// in `[0, l)`.
-fn rbf(t: &InflatedTask, l: Duration) -> Duration {
+pub(crate) fn rbf(t: &InflatedTask, l: Duration) -> Duration {
     if l.is_zero() {
         return Duration::ZERO;
     }
@@ -251,7 +175,7 @@ fn rbf(t: &InflatedTask, l: Duration) -> Duration {
 
 /// Demand-bound function: worst-case demand of jobs of `t` with both
 /// release and deadline inside `[0, l]`.
-fn dbf(t: &InflatedTask, l: Duration) -> Duration {
+pub(crate) fn dbf(t: &InflatedTask, l: Duration) -> Duration {
     if l < t.deadline {
         return Duration::ZERO;
     }
@@ -261,7 +185,7 @@ fn dbf(t: &InflatedTask, l: Duration) -> Duration {
 
 /// Processor-demand test of an EDF band under higher-band interference:
 /// for every absolute deadline `L` of the band up to the busy period,
-/// `Σ_own dbf(L) + Σ_higher rbf(L) ≤ L`.
+/// `Σ_own dbf(L) + Σ_higher rbf(L) ≤ L` (DESIGN.md §18).
 fn edf_band_test(
     own: &[InflatedTask],
     higher: &[InflatedTask],
@@ -302,24 +226,50 @@ fn edf_band_test(
         }
         w = next;
     };
-    // Check every absolute deadline of `own` in (0, busy].
-    let mut points = 0usize;
-    for t in own {
-        let mut d = t.deadline;
-        while d <= busy {
-            points += 1;
-            if points > limits.max_points {
-                return TestOutcome::Undecided;
-            }
-            let demand: Duration = own.iter().map(|x| dbf(x, d)).sum::<Duration>()
-                + higher.iter().map(|x| rbf(x, d)).sum::<Duration>();
-            if demand > d {
-                return TestOutcome::Unschedulable;
-            }
-            d += t.period;
+    // Every absolute deadline of `own` in (0, busy] is a test point.
+    // Past `max_points` of them the analysis is out of bounds.
+    if own_deadlines_up_to(own, busy) > limits.max_points as u64 {
+        return TestOutcome::Undecided;
+    }
+    // Walk the test points downward (Zhang–Burns QPA, with the higher
+    // bands' request bound added to the band's own demand). `h` never
+    // decreases, so once `h(t) ≤ t` every own deadline in `(h(t), t]`
+    // passes too and the walk jumps straight below it.
+    let demand = |l: Duration| -> Duration {
+        own.iter().map(|x| dbf(x, l)).sum::<Duration>()
+            + higher.iter().map(|x| rbf(x, l)).sum::<Duration>()
+    };
+    let mut point = last_own_deadline(own, busy);
+    while let Some(t) = point {
+        let h = demand(t);
+        if h > t {
+            return TestOutcome::Unschedulable;
         }
+        point = if h < t {
+            last_own_deadline(own, h)
+        } else {
+            t.as_ns()
+                .checked_sub(1)
+                .and_then(|below| last_own_deadline(own, Duration::from_ns(below)))
+        };
     }
     TestOutcome::Schedulable
+}
+
+/// How many absolute deadlines of `own` fall at or below `l`.
+pub(crate) fn own_deadlines_up_to(own: &[InflatedTask], l: Duration) -> u64 {
+    own.iter()
+        .filter(|t| t.deadline <= l)
+        .map(|t| (l - t.deadline) / t.period + 1)
+        .sum()
+}
+
+/// The largest absolute deadline of `own` at or below `l`, if any.
+fn last_own_deadline(own: &[InflatedTask], l: Duration) -> Option<Duration> {
+    own.iter()
+        .filter(|t| t.deadline <= l)
+        .map(|t| l - (l - t.deadline) % t.period)
+        .max()
 }
 
 /// RTA of an RM band under higher-band interference.
@@ -328,31 +278,62 @@ fn rm_band_test(
     higher: &[InflatedTask],
     limits: AnalysisLimits,
 ) -> TestOutcome {
-    for (i, t) in own.iter().enumerate() {
-        match response_time(t, &own[..i], higher, limits) {
-            ResponseTime::Within => {}
-            ResponseTime::Misses => return TestOutcome::Unschedulable,
-            ResponseTime::Overflow => return TestOutcome::Undecided,
-        }
+    match rta_first_failure(own, higher, limits) {
+        None => TestOutcome::Schedulable,
+        Some((_, ResponseTime::Misses)) => TestOutcome::Unschedulable,
+        Some(_) => TestOutcome::Undecided,
     }
-    TestOutcome::Schedulable
 }
 
-enum ResponseTime {
-    Within,
+/// Runs the band's RTA in priority order and returns the first task
+/// whose response time is not `Within`, with that result.
+///
+/// Each task after the first starts its iteration at `R_{i-1} + C_i`
+/// (Sjödin–Hansson) rather than at `C_i`: its interferers are a
+/// superset of task `i-1`'s plus task `i-1` itself, so that start is
+/// at most its least fixed point and the iteration lands on the same
+/// `R` in fewer steps. When the horizon is below the deadline, a
+/// higher start could overshoot the horizon where the cold iteration
+/// would have overshot the deadline first, so those tasks start cold.
+fn rta_first_failure(
+    own: &[InflatedTask],
+    higher: &[InflatedTask],
+    limits: AnalysisLimits,
+) -> Option<(usize, ResponseTime)> {
+    let mut prev = Duration::ZERO;
+    for (i, t) in own.iter().enumerate() {
+        let start = if i > 0 && limits.horizon >= t.deadline {
+            prev + t.cost
+        } else {
+            t.cost
+        };
+        match response_time(t, start, &own[..i], higher, limits) {
+            ResponseTime::Within(r) => prev = r,
+            other => return Some((i, other)),
+        }
+    }
+    None
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ResponseTime {
+    /// Converged at this response time, within the deadline.
+    Within(Duration),
     Misses,
     Overflow,
 }
 
-/// Classic response-time iteration:
-/// `R = C + Σ_{j ∈ hp} ⌈R / P_j⌉ C_j`.
+/// Classic response-time iteration
+/// `R = C + Σ_{j ∈ hp} ⌈R / P_j⌉ C_j`, from `start` (at most the least
+/// fixed point).
 fn response_time(
     t: &InflatedTask,
+    start: Duration,
     hp_a: &[InflatedTask],
     hp_b: &[InflatedTask],
     limits: AnalysisLimits,
 ) -> ResponseTime {
-    let mut r = t.cost;
+    let mut r = start;
     let mut iters = 0u32;
     loop {
         iters += 1;
@@ -369,7 +350,7 @@ fn response_time(
             + hp_a.iter().map(|x| rbf(x, r)).sum::<Duration>()
             + hp_b.iter().map(|x| rbf(x, r)).sum::<Duration>();
         if next == r {
-            return ResponseTime::Within;
+            return ResponseTime::Within(r);
         }
         r = next;
     }
@@ -801,12 +782,12 @@ mod tests {
                 })
                 .collect();
             let limits = AnalysisLimits::default();
-            let full = edf_test_with(&tasks, limits);
-            let quick = edf_qpa(&tasks, limits);
-            if full != TestOutcome::Undecided && quick != TestOutcome::Undecided {
+            let walk = edf_test_with(&tasks, limits);
+            let enumerated = crate::oracle::edf_test_with(&tasks, limits);
+            if enumerated != TestOutcome::Undecided {
                 checked += 1;
-                assert_eq!(full, quick, "disagreement on {tasks:?}");
             }
+            assert_eq!(walk, enumerated, "disagreement on {tasks:?}");
         }
         assert!(checked > 200, "only {checked} decisive cases");
     }
@@ -814,19 +795,37 @@ mod tests {
     #[test]
     fn qpa_basic_cases() {
         let limits = AnalysisLimits::default();
-        assert_eq!(edf_qpa(&[], limits), TestOutcome::Schedulable);
         let ok = InflatedTask::new(
             Duration::from_ms(10),
             Duration::from_ms(5),
             Duration::from_ms(3),
         );
-        assert_eq!(edf_qpa(&[ok], limits), TestOutcome::Schedulable);
         let bad = InflatedTask::new(
             Duration::from_ms(10),
             Duration::from_ms(2),
             Duration::from_ms(3),
         );
-        assert_eq!(edf_qpa(&[bad], limits), TestOutcome::Unschedulable);
+        // Demand exactly equal to the deadline: the walk's `h(t) = t`
+        // step.
+        let edge = InflatedTask::new(
+            Duration::from_ms(10),
+            Duration::from_ms(3),
+            Duration::from_ms(3),
+        );
+        for (tasks, want) in [
+            (&[][..], TestOutcome::Schedulable),
+            (&[ok][..], TestOutcome::Schedulable),
+            (&[bad][..], TestOutcome::Unschedulable),
+            (&[edge, ok][..], TestOutcome::Unschedulable),
+            (&[edge][..], TestOutcome::Schedulable),
+        ] {
+            assert_eq!(edf_test_with(tasks, limits), want, "{tasks:?}");
+            assert_eq!(
+                crate::oracle::edf_test_with(tasks, limits),
+                want,
+                "{tasks:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use emeralds_sim::Duration;
 
 use crate::analysis::{edf_test_with, rm_test_with, AnalysisLimits, InflatedTask, TestOutcome};
 use crate::overhead::OverheadModel;
-use crate::partition::{find_partition, Partition, SearchStrategy};
+use crate::partition::{overhead_utilization, search, Partition, SearchStrategy, Verdicts};
 use crate::task::TaskSet;
 
 /// Which scheduler a breakdown run evaluates.
@@ -89,6 +89,23 @@ pub fn breakdown_utilization(
     ovh: &OverheadModel,
     opts: &BreakdownOptions,
 ) -> BreakdownResult {
+    bisect(ts, opts.iterations, |scale, seed| {
+        probe(ts, scale, sched, ovh, opts, seed)
+    })
+}
+
+/// What a probe reports: `None` if infeasible at that scale, otherwise
+/// the feasible CSD partition (`None` for the flat schedulers).
+pub(crate) type ProbeResult = Option<Option<Partition>>;
+
+/// The §5.7 search: bisects the WCET scale for `iterations` rounds,
+/// asking `probe` whether each scale is feasible. `probe` may keep a
+/// partition in the seed slot for the next probe to start from.
+pub(crate) fn bisect(
+    ts: &TaskSet,
+    iterations: u32,
+    mut probe: impl FnMut(f64, &mut Option<Partition>) -> ProbeResult,
+) -> BreakdownResult {
     let base_u = ts.utilization();
     assert!(base_u > 0.0, "zero-utilization workload");
     // Upper bracket: scale at which task utilization alone reaches
@@ -100,7 +117,7 @@ pub fn breakdown_utilization(
     // Establish that the lower bracket is feasible at a tiny scale;
     // if not, report zero.
     let tiny = hi * 1e-6;
-    let (mut lo_s, mut best_partition) = match probe(ts, tiny, sched, ovh, opts, &mut seed) {
+    let (mut lo_s, mut best_partition) = match probe(tiny, &mut seed) {
         Some(p) => (tiny, p),
         None => {
             return BreakdownResult {
@@ -110,9 +127,9 @@ pub fn breakdown_utilization(
         }
     };
 
-    for _ in 0..opts.iterations {
+    for _ in 0..iterations {
         let mid = (lo_s + hi_s) / 2.0;
-        match probe(ts, mid, sched, ovh, opts, &mut seed) {
+        match probe(mid, &mut seed) {
             Some(p) => {
                 lo_s = mid;
                 best_partition = p;
@@ -126,9 +143,7 @@ pub fn breakdown_utilization(
     }
 }
 
-/// Tests feasibility at `scale`; for CSD returns the found partition
-/// (wrapped twice: outer Option = feasible?, inner = partition if CSD).
-#[allow(clippy::type_complexity)]
+/// Tests feasibility at `scale`; for CSD returns the found partition.
 fn probe(
     ts: &TaskSet,
     scale: f64,
@@ -136,7 +151,7 @@ fn probe(
     ovh: &OverheadModel,
     opts: &BreakdownOptions,
     seed: &mut Option<Partition>,
-) -> Option<Option<Partition>> {
+) -> ProbeResult {
     let scaled = ts.scale_wcets(scale);
     let n = scaled.len();
     let zero = Duration::ZERO;
@@ -166,36 +181,41 @@ fn probe(
             feasible_flat(&scaled, o, false, opts).then_some(None)
         }
         SchedulerConfig::Csd(x) => {
+            // One verdict map per probe: the rule candidates and the
+            // climb test many of the same layouts at this scale.
+            let mut verdicts = Verdicts::new(&scaled, ovh, opts.limits);
             let found = if opts.exhaustive_partition {
-                find_partition(&scaled, x, ovh, &SearchStrategy::Exhaustive, opts.limits)
+                search(x, &SearchStrategy::Exhaustive, &mut verdicts)
             } else {
                 // Union of the troublesome-rule candidates and a local
                 // climb from the previous probe's best partition; keep
                 // whichever feasible layout has less overhead.
-                let rule = find_partition(
-                    &scaled,
-                    x,
-                    ovh,
-                    &SearchStrategy::TroublesomeRule,
-                    opts.limits,
-                );
-                let climbed = seed.clone().and_then(|s| {
-                    find_partition(&scaled, x, ovh, &SearchStrategy::Seeded(s), opts.limits)
-                });
-                let score = |p: &Partition| crate::partition::overhead_utilization(&scaled, p, ovh);
-                match (rule, climbed) {
-                    (Some(a), Some(b)) => Some(if score(&a) <= score(&b) { a } else { b }),
-                    (a, b) => a.or(b),
-                }
+                let rule = search(x, &SearchStrategy::TroublesomeRule, &mut verdicts);
+                let climbed = seed
+                    .clone()
+                    .and_then(|s| search(x, &SearchStrategy::Seeded(s), &mut verdicts));
+                pick_rule_or_climbed(&scaled, ovh, rule, climbed)
             };
-            match found {
-                Some(p) => {
-                    *seed = Some(p.clone());
-                    Some(Some(p))
-                }
-                None => None,
+            if let Some(p) = &found {
+                *seed = Some(p.clone());
             }
+            found.map(Some)
         }
+    }
+}
+
+/// The lower-overhead of the rule's and the climb's partitions,
+/// preferring the rule's on ties.
+pub(crate) fn pick_rule_or_climbed(
+    ts: &TaskSet,
+    ovh: &OverheadModel,
+    rule: Option<Partition>,
+    climbed: Option<Partition>,
+) -> Option<Partition> {
+    let score = |p: &Partition| overhead_utilization(ts, p, ovh);
+    match (rule, climbed) {
+        (Some(a), Some(b)) => Some(if score(&a) <= score(&b) { a } else { b }),
+        (a, b) => a.or(b),
     }
 }
 

@@ -28,6 +28,8 @@
 pub mod analysis;
 pub mod breakdown;
 pub mod cyclic;
+#[cfg(test)]
+mod oracle;
 pub mod overhead;
 pub mod partition;
 pub mod task;

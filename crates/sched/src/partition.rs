@@ -10,8 +10,10 @@
 //! implemented here, plus a seeded local search that the
 //! breakdown-utilization driver uses to keep repeated probes cheap.
 
+use std::collections::HashMap;
+
 use crate::analysis::{
-    csd_test_with, rm_test_with, AnalysisLimits, Band, InflatedTask, TestOutcome,
+    csd_test_with, rm_first_failure, AnalysisLimits, Band, InflatedTask, TestOutcome,
 };
 use crate::overhead::{CsdShape, OverheadModel};
 use crate::task::TaskSet;
@@ -151,30 +153,18 @@ pub fn overhead_utilization(ts: &TaskSet, p: &Partition, ovh: &OverheadModel) ->
         .sum()
 }
 
-/// The §5.3 troublesome-task boundary: one past the longest-period
-/// task that RM (with RM run-time overheads) cannot schedule, or 0 if
-/// RM schedules everything.
+/// The §5.3 troublesome-task boundary: one past the first task, in RM
+/// order, whose response time RM (with RM run-time overheads) cannot
+/// bound, or 0 if RM schedules everything. Every longer prefix of the
+/// set fails RM too; every shorter one passes.
 pub fn troublesome_boundary(ts: &TaskSet, ovh: &OverheadModel, limits: AnalysisLimits) -> usize {
-    let n = ts.len();
-    let o = ovh.rmq_per_period(n);
+    let o = ovh.rmq_per_period(ts.len());
     let inflated: Vec<InflatedTask> = ts
         .tasks()
         .iter()
         .map(|t| InflatedTask::new(t.period, t.deadline, t.wcet + o))
         .collect();
-    // Find the longest-period task whose RTA fails.
-    for i in (0..n).rev() {
-        if rm_test_with(&inflated[..=i], limits) != TestOutcome::Schedulable
-            && rm_test_with(&inflated[..i], limits) == TestOutcome::Schedulable
-        {
-            return i + 1;
-        }
-    }
-    if n > 0 && rm_test_with(&inflated, limits) != TestOutcome::Schedulable {
-        n
-    } else {
-        0
-    }
+    rm_first_failure(&inflated, limits).map_or(0, |i| i + 1)
 }
 
 /// Searches for a feasible partition of `ts` into `x` queues
@@ -187,74 +177,109 @@ pub fn find_partition(
     strategy: &SearchStrategy,
     limits: AnalysisLimits,
 ) -> Option<Partition> {
+    search(x, strategy, &mut Verdicts::new(ts, ovh, limits))
+}
+
+/// The verdicts of every partition tested so far on one task set at
+/// one scale, keyed by boundaries. One breakdown probe runs both the
+/// troublesome-rule candidates and a seeded climb, and they revisit
+/// many of the same layouts.
+pub(crate) struct Verdicts<'a> {
+    ts: &'a TaskSet,
+    ovh: &'a OverheadModel,
+    limits: AnalysisLimits,
+    seen: HashMap<Vec<usize>, bool>,
+}
+
+impl<'a> Verdicts<'a> {
+    pub(crate) fn new(ts: &'a TaskSet, ovh: &'a OverheadModel, limits: AnalysisLimits) -> Self {
+        Verdicts {
+            ts,
+            ovh,
+            limits,
+            seen: HashMap::new(),
+        }
+    }
+
+    /// True if `p` passes [`test_partition`].
+    fn feasible(&mut self, p: &Partition) -> bool {
+        if let Some(&v) = self.seen.get(p.boundaries()) {
+            return v;
+        }
+        let v = test_partition(self.ts, p, self.ovh, self.limits).is_schedulable();
+        self.seen.insert(p.boundaries.clone(), v);
+        v
+    }
+}
+
+/// [`find_partition`] over a caller-held verdict map.
+pub(crate) fn search(
+    x: usize,
+    strategy: &SearchStrategy,
+    v: &mut Verdicts<'_>,
+) -> Option<Partition> {
     assert!(x >= 2, "CSD needs at least one DP queue plus FP");
+    let (ts, ovh, limits) = (v.ts, v.ovh, v.limits);
     let n = ts.len();
     let m = x - 1; // number of DP queues
     match strategy {
         SearchStrategy::Exhaustive => {
             let mut best: Option<(f64, Partition)> = None;
             let mut bounds = vec![0usize; m];
-            let ctx = SearchCtx { ts, ovh, limits, n };
-            exhaustive_rec(&ctx, &mut bounds, 0, 0, &mut best);
+            exhaustive_rec(v, &mut bounds, 0, 0, &mut best);
             best.map(|(_, p)| p)
         }
         SearchStrategy::TroublesomeRule => {
-            let r = troublesome_boundary(ts, ovh, limits);
-            let candidates = rule_candidates(n, m, r);
-            pick_best(ts, ovh, limits, candidates)
+            let candidates = rule_candidates(n, m, || troublesome_boundary(ts, ovh, limits));
+            pick_best(ts, ovh, candidates, |p| v.feasible(p))
         }
         SearchStrategy::Seeded(seed) => {
             assert_eq!(seed.num_queues(), x, "seed has wrong queue count");
             assert_eq!(seed.n, n, "seed has wrong task count");
-            hill_climb(ts, ovh, limits, seed.clone())
+            hill_climb(ts, ovh, seed.clone(), |p| v.feasible(p))
         }
     }
 }
 
-/// The invariants of one exhaustive search, threaded through the
-/// recursion as a unit.
-struct SearchCtx<'a> {
-    ts: &'a TaskSet,
-    ovh: &'a OverheadModel,
-    limits: AnalysisLimits,
-    n: usize,
-}
-
+/// Visits every layout once, so it tests directly rather than through
+/// the verdict map.
 fn exhaustive_rec(
-    ctx: &SearchCtx<'_>,
+    v: &Verdicts<'_>,
     bounds: &mut Vec<usize>,
     level: usize,
     min: usize,
     best: &mut Option<(f64, Partition)>,
 ) {
+    let n = v.ts.len();
     if level == bounds.len() {
-        let p = Partition::new(bounds.clone(), ctx.n);
-        if test_partition(ctx.ts, &p, ctx.ovh, ctx.limits) == TestOutcome::Schedulable {
-            let u = overhead_utilization(ctx.ts, &p, ctx.ovh);
+        let p = Partition::new(bounds.clone(), n);
+        if test_partition(v.ts, &p, v.ovh, v.limits).is_schedulable() {
+            let u = overhead_utilization(v.ts, &p, v.ovh);
             if best.as_ref().is_none_or(|(bu, _)| u < *bu) {
                 *best = Some((u, p));
             }
         }
         return;
     }
-    for b in min..=ctx.n {
+    for b in min..=n {
         bounds[level] = b;
-        exhaustive_rec(ctx, bounds, level + 1, b, best);
+        exhaustive_rec(v, bounds, level + 1, b, best);
     }
 }
 
 /// Candidate partitions from the troublesome rule: DP prefix of length
-/// `r`, split evenly across the `m` DP queues, plus the degenerate
-/// pure-EDF / pure-RM layouts and quartile splits as fallbacks. The
-/// quartiles matter when run-time overhead (not the troublesome task)
-/// is what limits the workload: a mid-size DP prefix keeps the EDF
-/// walk short while leaving most tasks on the cheap FP path.
-fn rule_candidates(n: usize, m: usize, r: usize) -> Vec<Partition> {
+/// `r` (the troublesome boundary, computed only when needed), split
+/// evenly across the `m` DP queues, plus the degenerate pure-EDF /
+/// pure-RM layouts and quartile splits as fallbacks. The quartiles
+/// matter when run-time overhead (not the troublesome task) is what
+/// limits the workload: a mid-size DP prefix keeps the EDF walk short
+/// while leaving most tasks on the cheap FP path.
+pub(crate) fn rule_candidates(n: usize, m: usize, r: impl FnOnce() -> usize) -> Vec<Partition> {
     let mut prefixes = if m == 1 {
         // CSD-2: a full boundary scan is only n + 1 cheap tests.
         (0..=n).collect::<Vec<_>>()
     } else {
-        vec![r, 0, n, n / 4, n / 2, 3 * n / 4]
+        vec![r(), 0, n, n / 4, n / 2, 3 * n / 4]
     };
     prefixes.sort_unstable();
     prefixes.dedup();
@@ -271,34 +296,36 @@ pub fn even_split(n: usize, m: usize, r: usize) -> Partition {
     Partition::new(bounds, n)
 }
 
+/// The feasible candidate with the least overhead utilization, the
+/// earliest one on ties. Candidates are tested cheapest first, so the
+/// search stops at the first feasible one.
 fn pick_best(
     ts: &TaskSet,
     ovh: &OverheadModel,
-    limits: AnalysisLimits,
     candidates: Vec<Partition>,
+    mut feasible: impl FnMut(&Partition) -> bool,
 ) -> Option<Partition> {
-    candidates
+    let mut scored: Vec<(f64, Partition)> = candidates
         .into_iter()
-        .filter(|p| test_partition(ts, p, ovh, limits) == TestOutcome::Schedulable)
         .map(|p| (overhead_utilization(ts, &p, ovh), p))
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .map(|(_, p)| p)
+        .collect();
+    // Stable, so equal scores keep their candidate order.
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    scored.into_iter().map(|(_, p)| p).find(|p| feasible(p))
 }
 
 /// Local search: repeatedly move one boundary by ±1/±2 while it
 /// improves (feasibility first, then overhead utilization). Bounded by
 /// a step budget so breakdown probes stay cheap.
-fn hill_climb(
+pub(crate) fn hill_climb(
     ts: &TaskSet,
     ovh: &OverheadModel,
-    limits: AnalysisLimits,
     seed: Partition,
+    mut feasible: impl FnMut(&Partition) -> bool,
 ) -> Option<Partition> {
     let n = seed.n;
-    let score = |p: &Partition| -> Option<f64> {
-        (test_partition(ts, p, ovh, limits) == TestOutcome::Schedulable)
-            .then(|| overhead_utilization(ts, p, ovh))
-    };
+    let mut score =
+        |p: &Partition| -> Option<f64> { feasible(p).then(|| overhead_utilization(ts, p, ovh)) };
     let mut current = seed;
     let mut current_score = score(&current);
     let mut budget = 64usize;
@@ -503,6 +530,33 @@ mod tests {
         assert_eq!(p.boundaries(), &[2, 4, 7]);
         let p = even_split(10, 1, 4);
         assert_eq!(p.boundaries(), &[4]);
+    }
+
+    #[test]
+    fn verdict_map_returns_each_partitions_own_verdict() {
+        let ts = table2_workload().scale_wcets(1.1);
+        let ovh = OverheadModel::new(CostModel::mc68040_25mhz());
+        let limits = AnalysisLimits::default();
+        let mut v = Verdicts::new(&ts, &ovh, limits);
+        let n = ts.len();
+        let (mut yes, mut no) = (0, 0);
+        // Twice over every CSD-3 layout: first fills the map, then
+        // reads it back.
+        for _ in 0..2 {
+            for a in 0..=n {
+                for b in a..=n {
+                    let p = Partition::new(vec![a, b], n);
+                    let direct = test_partition(&ts, &p, &ovh, limits).is_schedulable();
+                    assert_eq!(v.feasible(&p), direct, "{:?}", p.boundaries());
+                    if direct {
+                        yes += 1;
+                    } else {
+                        no += 1;
+                    }
+                }
+            }
+        }
+        assert!(yes > 0 && no > 0, "{yes} feasible, {no} infeasible");
     }
 
     #[test]
