@@ -98,8 +98,8 @@ pub struct FaultPlan {
     /// Scheduled node faults, in no particular order.
     pub events: Vec<FaultEvent>,
     /// Scheduled gateway fail-stops, in no particular order. Only the
-    /// topology executive consumes these; single-segment executives
-    /// ignore them.
+    /// topology executive consumes these; a single-bus cluster ignores
+    /// them.
     pub gateway_events: Vec<GatewayFault>,
 }
 
@@ -333,8 +333,7 @@ struct NodeFaults {
 ///
 /// All mutating queries ([`FaultClock::corrupt_next_grant`],
 /// [`FaultClock::babble_due`]) must be made from serial code (the
-/// epoch-barrier exchange, or the serial co-simulation loop); the
-/// immutable queries are safe anywhere.
+/// epoch-barrier exchange); the immutable queries are safe anywhere.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultClock {
     seed: u64,

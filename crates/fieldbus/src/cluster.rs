@@ -1,11 +1,8 @@
 //! The multi-node cluster executive: N kernels over one bus, advanced
 //! in parallel across host threads.
 //!
-//! [`crate::Network`] co-simulates nodes serially — correct, but one
-//! host core drives every board, so a 64-node system runs 64× slower
-//! than one board. [`Cluster`] instead runs each [`Kernel`] on the
-//! deterministic conservative-lookahead engine of
-//! [`emeralds_sim::run_epochs`]:
+//! [`Cluster`] runs each [`Kernel`] on the deterministic
+//! conservative-lookahead engine of [`emeralds_sim::run_epochs`]:
 //!
 //! - **Epoch**: every node independently advances its local virtual
 //!   clock by one lookahead window *L* (default: one max-size
@@ -17,14 +14,17 @@
 //!   arbitration id first, FIFO within an id) for every transmission
 //!   that *starts* inside the next window.
 //!
-//! Timing model vs [`crate::Network`]: frames are timestamped at the
-//! harvesting barrier and delivered at the first barrier after their
-//! wire time completes, so end-to-end latency is quantized to at most
-//! one lookahead window (±*L* ≈ one frame time) instead of the serial
-//! executive's per-step resolution. *Intra-node* accounting — the
-//! paper's per-op cost model — is untouched: each kernel runs the
-//! exact same step loop either way. Results are bit-for-bit identical
-//! for any worker count; `tests/cluster_determinism.rs` pins this.
+//! Timing model: the bus samples at each barrier. A message posted
+//! during an epoch, or a state-message version written during it, is
+//! queued at the barrier that ends the epoch (a state frame keeps the
+//! writer's own stamp in its payload). It is delivered at the first
+//! barrier at or after its wire time completes. End-to-end latency is
+//! therefore quantized to within ±*L* (≈ one frame time, 111 µs at
+//! 1 Mbit/s).
+//! *Intra-node* accounting — the paper's per-op cost model — is
+//! untouched: each kernel runs its own step loop up to the barrier.
+//! Results are bit-for-bit identical for any worker count;
+//! `tests/cluster_determinism.rs` pins this.
 
 use std::collections::VecDeque;
 
@@ -87,7 +87,7 @@ pub struct ClusterNode {
     pub rx_mbox: MboxId,
     /// Interrupt raised on frame reception.
     pub nic_irq: IrqLine,
-    /// Arbitration id for this node's transmissions.
+    /// CAN arbitration id for this node's transmissions.
     pub tx_prio: u32,
     /// NIC statistics and CAN error-confinement state.
     pub stats: NodeStats,
@@ -1049,6 +1049,36 @@ mod tests {
         c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
         c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
         c
+    }
+
+    #[test]
+    fn frame_time_matches_bitrate() {
+        // 8 bytes = 64 bits + 47 framing = 111 bits at 1 Mbit/s.
+        assert_eq!(
+            Cluster::new(1_000_000).frame_time(8),
+            Duration::from_us(111)
+        );
+        assert_eq!(
+            Cluster::new(2_000_000).frame_time(8),
+            Duration::from_ns(55_500)
+        );
+    }
+
+    #[test]
+    fn node_accessors_and_len() {
+        let mut c = Cluster::new(1_000_000);
+        assert!(c.is_empty());
+        assert!(c.nodes().is_empty());
+        let (k0, tx0, rx0) = make_node(50, 1, None);
+        let id = c.add_node("solo", k0, tx0, rx0, NIC_IRQ, 3);
+        assert_eq!(c.len(), 1);
+        assert!(!c.is_empty());
+        assert_eq!(&*c.node(id).name, "solo");
+        assert_eq!(c.node(id).tx_prio, 3);
+        c.node_mut(id).tx_prio = 4;
+        assert_eq!(c.node(id).tx_prio, 4);
+        assert_eq!(c.nodes().len(), 1);
+        assert_eq!(c.nodes()[0].id, id);
     }
 
     #[test]

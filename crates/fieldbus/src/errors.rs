@@ -1,5 +1,5 @@
 //! CAN-style error signalling and fail-stop gating for the bus
-//! executives.
+//! executive.
 //!
 //! Classic CAN contains faulty transmitters with two error counters
 //! per controller: the transmit error counter (TEC) jumps by 8 on
@@ -9,7 +9,7 @@
 //! TEC crosses 255 it goes *bus-off* and drops off the wire entirely
 //! until it observes 128 × 11 recessive bits of bus idle. This module
 //! reproduces that state machine ([`NodeStats`]) plus the fail-stop
-//! CPU gate ([`FailStopGate`]) the executives apply per node; the
+//! CPU gate ([`FailStopGate`]) the executive applies per node; the
 //! fault *schedule* itself lives in `emeralds-faults`.
 
 use emeralds_core::kernel::NodeFaultSummary;
@@ -198,7 +198,7 @@ impl FailStopGate {
         }
     }
 
-    /// Epoch-executive hook: advance the kernel to `horizon`, stalling
+    /// Advances the kernel to `horizon` (one epoch), stalling
     /// through any outage that begins before it. The kernel may
     /// overshoot the horizon when an outage extends past it — the
     /// conservative-lookahead engine already tolerates overshoot.
@@ -221,31 +221,6 @@ impl FailStopGate {
             }
             kernel.stall_for_fault(end);
             self.next += 1;
-        }
-    }
-
-    /// Serial-executive hook: if the node's next outage begins at or
-    /// before `limit`, run it to the outage start and stall through
-    /// the outage. Returns `true` when it moved the clock (the caller
-    /// should re-evaluate instead of stepping).
-    pub fn stall_pending(&mut self, kernel: &mut Kernel, limit: Time) -> bool {
-        loop {
-            let Some(&(start, end)) = self.windows.get(self.next) else {
-                return false;
-            };
-            if kernel.now() >= end {
-                self.next += 1;
-                continue;
-            }
-            if start > limit {
-                return false;
-            }
-            if kernel.now() < start {
-                kernel.advance_to(start);
-            }
-            kernel.stall_for_fault(end);
-            self.next += 1;
-            return true;
         }
     }
 }

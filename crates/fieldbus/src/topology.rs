@@ -172,7 +172,7 @@ pub struct GatewayConfig {
     /// buffer full is dropped (`frames_lost_gateway`). When `classes`
     /// is set the per-class bounds govern instead.
     pub capacity: usize,
-    /// Arbitration id of the gateway's bridge NIC nodes themselves
+    /// CAN arbitration id of the gateway's bridge NIC nodes themselves
     /// (forwarded frames keep their original priority).
     pub prio: u32,
     /// Routing cost of crossing this gateway; the route table picks

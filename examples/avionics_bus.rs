@@ -177,7 +177,7 @@ fn build_cluster(workers: usize) -> Cluster {
     cluster.add_node("dfdr", dfdr, dfdr_tx, dfdr_rx, NIC_IRQ, 12);
 
     // State-message replication: attitude feeds the control law, air
-    // data feeds the display. Arbitration ids 3–4 keep the state
+    // data feeds the display. CAN arbitration ids 3–4 keep the state
     // frames just below the raw sensor broadcasts.
     cluster.link_state(NodeId(0), ahrs_var, NodeId(2), fcc_var, 3, 8);
     cluster.link_state(NodeId(1), adc_var, NodeId(3), disp_var, 4, 8);

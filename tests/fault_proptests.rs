@@ -2,7 +2,7 @@
 //!
 //! Like `proptest_invariants.rs`, case generation is a deterministic
 //! seeded [`SimRng`] loop (the container builds offline, so the
-//! proptest crate itself is unavailable). Two properties the CAN
+//! proptest crate itself is unavailable). Three properties the CAN
 //! error machinery must uphold for any fault schedule:
 //!
 //! 1. **Retransmission never reorders**: same-priority frames from
@@ -22,13 +22,13 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{addressed_tag, Cluster, Network};
+use emeralds::fieldbus::{addressed_tag, Cluster};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, ThreadId, Time};
 
-/// The frame-conservation invariant, checked wherever a network is
+/// The frame-conservation invariant, checked wherever a cluster is
 /// observed at rest.
-fn assert_frames_conserved(net: &Network, ctx: &str) {
-    let s = &net.stats;
+fn assert_frames_conserved(net: &Cluster, ctx: &str) {
+    let s = net.stats();
     assert_eq!(
         s.frames_sent,
         s.frames_delivered + s.frames_dropped + s.frames_in_flight,
@@ -65,7 +65,7 @@ fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine)
 /// corruption schedule and checks every frame arrives, in order.
 /// Returns (retransmissions, error_frames) for aggregate assertions.
 fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
-    let mut net = Network::new(1_000_000);
+    let mut net = Cluster::new(1_000_000);
     let (k0, tx0, rx0, irq0) = shell_node(64, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 64);
     let src = net.add_node("src", k0, tx0, rx0, irq0, 10);
@@ -86,7 +86,8 @@ fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64)
     // The corruption rates used here cannot push TEC past 255, so no
     // frame may be lost; a loss here is itself a reordering bug.
     assert_eq!(
-        net.stats.bus_off_events, 0,
+        net.stats().bus_off_events,
+        0,
         "unexpected bus-off at corruption {corruption}"
     );
     for i in 0..n_frames {
@@ -106,7 +107,7 @@ fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64)
         "phantom extra frame delivered"
     );
     assert_frames_conserved(&net, &format!("fifo seed {seed:#x}"));
-    (net.stats.retransmissions, net.stats.error_frames)
+    (net.stats().retransmissions, net.stats().error_frames)
 }
 
 #[test]
@@ -132,7 +133,7 @@ fn retransmission_preserves_same_priority_fifo() {
 /// while off, its frames vanish at the NIC and a clean peer still
 /// gets through; once the window ends, it recovers and rejoins.
 fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
-    let mut net = Network::new(1_000_000);
+    let mut net = Cluster::new(1_000_000);
     let (k0, tx0, rx0, irq0) = shell_node(8, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 8);
     let (k2, tx2, rx2, irq2) = shell_node(8, 64);
@@ -157,13 +158,21 @@ fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
         );
         net.run_until(t);
     }
-    assert!(net.stats.bus_off_events >= 1);
-    assert!(net.stats.babble_frames > 0);
+    assert!(net.stats().bus_off_events >= 1);
+    assert!(net.stats().babble_frames > 0);
     let dropped_before = net.node_stats(babbler).tx_dropped;
 
     // Phase 2: both nodes post frames while the babbler is off the
-    // bus. Recovery needs 1408 us of bus silence and the poll lags
-    // entry by at most ~500 us, so 800 us stays inside the outage.
+    // bus. Bus-off is entered after the previous poll, so the poll
+    // lags entry by at most 500 us. The posts are harvested at the
+    // next barrier, within one lookahead window L (111 us), so the
+    // babbler's frames meet its dead NIC at most 500 us + L after
+    // entry, and the check 800 us after the poll falls at most
+    // 1300 us after entry. Both stay inside the 1408 us recovery,
+    // which a barrier completes no earlier than that. The 800 us also
+    // gives the clean node's three frames time to arrive: harvested
+    // within L, 111 us each on the wire, delivered within L of
+    // completion.
     let k = 3u32;
     for i in 0..k {
         let m = |tag| Message {
@@ -206,7 +215,7 @@ fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
     // transmits again.
     net.run_until(Time::from_ms(60));
     assert!(!net.node_stats(babbler).is_bus_off(), "never recovered");
-    assert!(net.stats.bus_off_recoveries >= 1);
+    assert!(net.stats().bus_off_recoveries >= 1);
     assert!(net.node_mut(babbler).kernel.external_mbox_push(
         tx0,
         Message {
@@ -250,7 +259,7 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
     for case in 0..8u64 {
         let babble_period = rng.int_in(40, 120);
         let babble_start = rng.int_in(200, 1500);
-        let mut net = Network::new(1_000_000);
+        let mut net = Cluster::new(1_000_000);
         let (k0, tx0, rx0, irq0) = shell_node(64, 8);
         let (k1, tx1, rx1, irq1) = shell_node(8, 64);
         let babbler = net.add_node("babbler", k0, tx0, rx0, irq0, 10);
@@ -282,20 +291,20 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
             assert_frames_conserved(&net, &format!("case {case} at {t:?}"));
         }
         assert!(saw_busoff, "case {case} never reached bus-off");
-        assert!(net.stats.bus_off_recoveries >= 1, "case {case}");
+        assert!(net.stats().bus_off_recoveries >= 1, "case {case}");
         // The purge at the bus-off boundary charged the queued frames.
         assert!(
-            net.node_stats(babbler).tx_dropped > 0 || net.stats.frames_delivered >= 12,
+            net.node_stats(babbler).tx_dropped > 0 || net.stats().frames_delivered >= 12,
             "case {case}: queued frames neither dropped nor delivered: {:?}",
-            net.stats
+            net.stats()
         );
     }
 }
 
-/// The parallel cluster executive must uphold the same ledger across
-/// randomized fault schedules and staggered observation horizons —
-/// fail-stop outages purging pending frames, babble storms, bus-off
-/// recoveries — at any worker count.
+/// The frame ledger must also hold across randomized fault schedules
+/// and staggered observation horizons — fail-stop outages purging
+/// pending frames, babble storms, bus-off recoveries — at any worker
+/// count.
 #[test]
 fn parallel_executive_conserves_frames_across_fault_boundaries() {
     let mut rng = SimRng::seeded(0xC0A5E);
@@ -430,7 +439,7 @@ fn state_links_conserve_frames_under_corruption() {
         let p = rng.int_in(0, 30) as f64 / 100.0;
         let seed = rng.int_in(1, u64::MAX - 1);
         let wr_period = rng.int_in(2_000, 6_000);
-        let mut net = Network::new(1_000_000);
+        let mut net = Cluster::new(1_000_000);
         let (k0, tx0, rx0, irq0, wvar) = state_writer_node(wr_period);
         let (k1, tx1, rx1, irq1, rvar) = state_reader_node(5_000);
         let src = net.add_node("writer", k0, tx0, rx0, irq0, 10);
@@ -441,7 +450,7 @@ fn state_links_conserve_frames_under_corruption() {
 
         assert_frames_conserved(&net, &format!("state case {case}, p {p}"));
         assert!(
-            net.stats.frames_delivered > 0,
+            net.stats().frames_delivered > 0,
             "no state frame arrived (case {case})"
         );
         let replica = net.node_mut(dst).kernel.statemsg(rvar);
