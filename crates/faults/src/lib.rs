@@ -405,6 +405,12 @@ impl FaultClock {
         &self.nodes[node].down
     }
 
+    /// Does `node` have any fail-stop or babble event scheduled?
+    pub fn has_schedule(&self, node: usize) -> bool {
+        let nf = &self.nodes[node];
+        !nf.down.is_empty() || !nf.babble.is_empty()
+    }
+
     /// Total scheduled downtime for `node` within `[0, until)`.
     pub fn downtime(&self, node: usize, until: Time) -> Duration {
         self.nodes[node]
@@ -460,10 +466,12 @@ impl FaultClock {
     }
 
     /// Number of garbage frames `node`'s babbling transmitter has due
-    /// by `until`. Advances the injection cursor, so call this exactly
-    /// once per node per barrier — including while the node is offline
-    /// (discard the count then): a silenced babbler must not save up a
-    /// burst for its recovery.
+    /// by `until`. Advances the injection cursor, so call it at every
+    /// barrier for every node with a schedule ([`FaultClock::has_schedule`])
+    /// — including while the node is offline (discard the count then):
+    /// a silenced babbler must not save up a burst for its recovery. A
+    /// call at a barrier where no cursor is due returns 0 and changes
+    /// nothing, so executives may skip nodes without a schedule.
     pub fn babble_due(&mut self, node: usize, until: Time) -> u64 {
         let mut due = 0;
         for w in &mut self.nodes[node].babble {

@@ -4,15 +4,20 @@
 //! [`Cluster`] runs each [`Kernel`] on the deterministic
 //! conservative-lookahead engine of [`emeralds_sim::run_epochs`]:
 //!
-//! - **Epoch**: every node independently advances its local virtual
+//! - **Epoch**: every node that can act advances its local virtual
 //!   clock by one lookahead window *L* (default: one max-size
 //!   bus-frame time — no frame can cross the bus faster, so no node
-//!   can miss an input by running ahead).
+//!   can miss an input by running ahead). A node that provably cannot
+//!   act before the window ends — nothing staged for it, no running
+//!   thread, no timer or device event and no fail-stop window before
+//!   the barrier — defers that idle time instead, and catches its
+//!   clock up with one idle advance when a frame is staged for it or
+//!   the run ends (DESIGN.md §19).
 //! - **Barrier exchange** (serial, node order): deliver in-flight
-//!   frames whose wire time completed, harvest each node's TX mailbox
-//!   onto the arbitration queue, then grant the bus CAN-style (lowest
-//!   arbitration id first, FIFO within an id) for every transmission
-//!   that *starts* inside the next window.
+//!   frames whose wire time completed, harvest the TX mailboxes of
+//!   the nodes that advanced onto the arbitration queue, then grant
+//!   the bus CAN-style (lowest arbitration id first, FIFO within an
+//!   id) for every transmission that *starts* inside the next window.
 //!
 //! Timing model: the bus samples at each barrier. A message posted
 //! during an epoch, or a state-message version written during it, is
@@ -104,6 +109,14 @@ pub struct ClusterNode {
     /// order, fault judgement, arbitration) remain serial; the
     /// exchange consumes this buffer in node order.
     staged_tx: Vec<emeralds_core::ipc::Message>,
+    /// The kernel's `next_external_time()` as of the end of its last
+    /// real advance (`Some(Time::ZERO)` while due: see
+    /// [`ClusterNode::mark_due`]).
+    wake: Option<Time>,
+    /// Set by a real advance, taken by the next barrier's exchange.
+    advanced: bool,
+    /// Has a fail-stop or babble schedule, so every barrier judges it.
+    faulted: bool,
 }
 
 impl ClusterNode {
@@ -132,14 +145,48 @@ impl ClusterNode {
             inbox: Vec::new(),
             outcome: RxOutcome::default(),
             staged_tx: Vec::new(),
+            wake: Some(Time::ZERO),
+            advanced: false,
+            faulted: false,
         }
     }
 
-    /// Installs (or clears) this node's fail-stop gate. The topology
-    /// executive uses this when splitting a global fault plan across
-    /// segments; [`Cluster::set_fault_plan`] sets its own directly.
-    pub(crate) fn set_gate(&mut self, gate: Option<FailStopGate>) {
-        self.gate = gate;
+    /// Installs this node's slice of a compiled fault schedule (its
+    /// fail-stop gate; babble stays on the bus's clock). `index` is the
+    /// node's index on its own bus.
+    pub(crate) fn set_faults(&mut self, fc: &FaultClock, index: usize) {
+        let windows = fc.down_windows(index);
+        self.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
+        self.faulted = fc.has_schedule(index);
+    }
+
+    /// Forces the next advance to be a real one. Callers may change a
+    /// kernel through `node_mut` between `run_until` calls (post to
+    /// its TX mailbox, say), which the cached wake cannot see.
+    fn mark_due(&mut self) {
+        self.wake = Some(Time::ZERO);
+    }
+
+    /// Is the node provably inert until `end`? No staged reception, no
+    /// running thread, no timer or device event before `end`, and no
+    /// fail-stop window opening before it. An idle kernel's `step`
+    /// then only moves its clock and `acct.idle`, so the advance can
+    /// be deferred. A wake exactly at `end` is inert: occurrences due
+    /// at a barrier run at the top of the next epoch.
+    fn inert_until(&self, end: Time) -> bool {
+        self.inbox.is_empty()
+            && self.kernel.current().is_none()
+            && self.wake.is_none_or(|w| w >= end)
+            && self.gate.as_ref().is_none_or(|g| g.quiet_before(end))
+    }
+
+    /// Brings a deferred node's clock (and idle time) up to the
+    /// barrier `at` with one idle advance. Only ever run on an inert
+    /// node, so no gate window or kernel event can fall inside.
+    fn catch_up(&mut self, at: Time) {
+        if self.kernel.now() < at {
+            self.kernel.advance_to(at);
+        }
     }
 
     /// Applies every staged reception. Runs on the node's own worker
@@ -181,6 +228,11 @@ impl ClusterNode {
 
 impl EpochNode for ClusterNode {
     fn advance_to(&mut self, horizon: Time) {
+        // The skip reads only this node's own state, so the parallel
+        // path stays race-free and deterministic.
+        if self.inert_until(horizon) {
+            return;
+        }
         // NIC delivery DMA runs here, in parallel, not under the
         // serial exchange. The inbox was staged at the barrier this
         // advance starts from, so the kernel clock equals the staging
@@ -203,6 +255,9 @@ impl EpochNode for ClusterNode {
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
+        // Refreshed after the pops: one may unblock a parked sender.
+        self.wake = self.kernel.next_external_time();
+        self.advanced = true;
     }
 }
 
@@ -255,6 +310,9 @@ pub(crate) struct BusState {
     /// Reused receiver-index buffer for [`BusState::stage`]: staging a
     /// frame in the steady state must not allocate.
     stage_scratch: Vec<usize>,
+    /// Reused per-barrier list of the nodes the exchange must visit
+    /// (see [`BusState::exchange`]), in node order.
+    active: Vec<usize>,
 }
 
 impl BusState {
@@ -284,6 +342,7 @@ impl BusState {
             remote_out: Vec::new(),
             wide_tags: false,
             stage_scratch: Vec::new(),
+            active: Vec::new(),
         };
         bus.lookahead = bus.frame_time(8);
         bus
@@ -341,21 +400,29 @@ impl BusState {
     /// own worker at the top of the next advance, and TX-mailbox pops
     /// already ran in each node's advance epilogue — keeping the
     /// serial section down to frame arbitration and routing.
+    ///
+    /// The per-node passes visit only the nodes that can have work:
+    /// those that advanced this epoch (tallies, TX), those with a
+    /// fault schedule (outages, babble) and those bus-off (recovery).
+    /// A node skipped as inert has none of these, and visiting the
+    /// rest in node order keeps every sequence number unchanged.
     pub(crate) fn exchange(&mut self, nodes: &mut [&mut ClusterNode], now: Time) {
+        let mut active = std::mem::take(&mut self.active);
+        active.clear();
         // 0. Fold the previous epoch's node-local delivery tallies
-        //    into the global stats. The fields are order-independent
-        //    sums, so totals are identical to the old serial scheme.
-        for node in nodes.iter_mut() {
+        //    into the global stats (order-independent sums), and
+        //    complete due bus-off recoveries before anything else this
+        //    barrier: a recovered node sends and receives again.
+        let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if !(std::mem::take(&mut node.advanced) || node.faulted || node.stats.is_bus_off()) {
+                continue;
+            }
+            active.push(i);
             let o = std::mem::take(&mut node.outcome);
             self.stats.frames_delivered += o.delivered;
             self.stats.frames_dropped += o.dropped;
             self.stats.total_latency += o.latency;
-        }
-
-        // 0b. Complete due bus-off recoveries before anything else
-        //     this barrier: a recovered node sends and receives again.
-        let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        for node in nodes.iter_mut() {
             if node.stats.try_recover(now, recovery) {
                 self.stats.bus_off_recoveries += 1;
             }
@@ -370,7 +437,7 @@ impl BusState {
                 break;
             }
             self.in_flight.pop_front();
-            self.stage(nodes, frame, done);
+            self.stage(nodes, frame, done, now);
         }
 
         // 2. Consume the TX messages each node's own advance drained
@@ -379,7 +446,7 @@ impl BusState {
         //    stamped at this barrier — the conservative end of the
         //    window. An offline node's posts (and its already-pending
         //    frames) are lost.
-        for i in 0..nodes.len() {
+        for &i in &active {
             let offline = self.node_offline(nodes, i, now);
             let mut staged = std::mem::take(&mut nodes[i].staged_tx);
             let node = &mut nodes[i];
@@ -420,6 +487,7 @@ impl BusState {
                 }
             }
         }
+        self.active = active;
 
         // 2b. Harvest the networked state-message links (§7), in
         //     registration order: sample each link's writer variable;
@@ -527,16 +595,18 @@ impl BusState {
         }
     }
 
-    /// Stages a completed frame into its receivers' inboxes. Offline
-    /// receivers are judged here (they need the global fault clock);
-    /// everything else — mailbox push, replica DMA, IRQ — happens on
-    /// the receiver's own worker at the top of the next advance.
+    /// Stages a completed frame into its receivers' inboxes at the
+    /// barrier `now`. Offline receivers are judged here (they need the
+    /// global fault clock); everything else — mailbox push, replica
+    /// DMA, IRQ — happens on the receiver's own worker at the top of
+    /// the next advance, so a receiver that deferred its idle time
+    /// first catches up to `now`.
     ///
     /// Under a [`crate::Topology`], an addressed frame whose (global)
     /// destination is not on this segment is parked in `remote_out`
     /// for the topology executive instead; broadcasts always stay
     /// segment-local.
-    fn stage(&mut self, nodes: &mut [&mut ClusterNode], frame: Frame, done: Time) {
+    fn stage(&mut self, nodes: &mut [&mut ClusterNode], frame: Frame, done: Time, now: Time) {
         let mut targets = std::mem::take(&mut self.stage_scratch);
         debug_assert!(targets.is_empty());
         match frame.dst {
@@ -570,6 +640,7 @@ impl BusState {
                 continue;
             }
             let latency = done.since(frame.queued_at.min(done));
+            nodes[t].catch_up(now);
             if let Some(sp) = frame.state {
                 // State frame: the replica DMA carries the original
                 // writer's stamp end to end.
@@ -702,7 +773,8 @@ impl BusState {
             if !n.inbox.is_empty() || !n.staged_tx.is_empty() || n.kernel.current().is_some() {
                 return None;
             }
-            if let Some(t) = n.kernel.next_external_time() {
+            debug_assert_eq!(n.wake, n.kernel.next_external_time(), "stale wake");
+            if let Some(t) = n.wake {
                 fold(&mut strict, t);
             }
             if let Some(since) = n.stats.bus_off_since {
@@ -728,15 +800,19 @@ impl BusState {
 
     /// End-of-run flush, shared by [`Cluster::run_until`] and the
     /// topology executive: the final barrier staged deliveries but no
-    /// epoch follows inside this call, so apply the inboxes here (the
-    /// nodes' clocks sit exactly at the horizon, the same instant a
+    /// epoch follows inside this call, so catch every deferred node up
+    /// to the `horizon` and apply the inboxes here (the same instant a
     /// following advance would apply them), fold the tallies in, and
     /// snapshot what is still underway so the ledger
     /// `sent == delivered + dropped + in_flight` is exact at this
     /// horizon (garbage frames never counted as sent, so they don't
-    /// count here).
-    pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode]) {
+    /// count here). Accessors see every node at the horizon, and every
+    /// node starts the next run due, whatever the caller changes in
+    /// between.
+    pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode], horizon: Time) {
         for node in nodes.iter_mut() {
+            node.catch_up(horizon);
+            node.mark_due();
             node.apply_inbox();
             let o = std::mem::take(&mut node.outcome);
             self.stats.frames_delivered += o.delivered;
@@ -862,8 +938,7 @@ impl Cluster {
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         let fc = FaultClock::new(plan, self.nodes.len());
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let windows = fc.down_windows(i);
-            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
+            node.set_faults(&fc, i);
         }
         self.bus.faults = Some(fc);
     }
@@ -971,7 +1046,7 @@ impl Cluster {
         );
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
-        self.bus.flush_run_end(&mut self.nodes);
+        self.bus.flush_run_end(&mut self.nodes, horizon);
     }
 
     /// Rolls every node's kernel metrics into a [`ClusterMetrics`].

@@ -198,6 +198,16 @@ impl FailStopGate {
         }
     }
 
+    /// True when no outage the gate has yet to apply starts before
+    /// `end`, so [`FailStopGate::drive`] to `end` would be a plain
+    /// advance. Conservative: a window already behind the kernel that
+    /// the gate has not stepped past yet also answers `false`.
+    pub fn quiet_before(&self, end: Time) -> bool {
+        self.windows
+            .get(self.next)
+            .is_none_or(|&(start, _)| start >= end)
+    }
+
     /// Advances the kernel to `horizon` (one epoch), stalling
     /// through any outage that begins before it. The kernel may
     /// overshoot the horizon when an outage extends past it — the

@@ -111,7 +111,6 @@ use emeralds_sim::{
 };
 
 use crate::cluster::{BusState, ClusterNode, SegmentRouting};
-use crate::errors::FailStopGate;
 use crate::{BusStats, Frame};
 
 /// Identifies one bus segment of a [`Topology`].
@@ -767,8 +766,7 @@ impl Topology {
         for (si, seg) in self.segments.iter_mut().enumerate() {
             let fc = FaultClock::new(&per[si], seg.nodes.len());
             for (i, node) in seg.nodes.iter_mut().enumerate() {
-                let windows = fc.down_windows(i);
-                node.set_gate((!windows.is_empty()).then(|| FailStopGate::new(windows)));
+                node.set_faults(&fc, i);
             }
             seg.bus.set_faults(fc);
         }
@@ -994,7 +992,7 @@ impl Topology {
                 "outer exchange must drain remote_out"
             );
             let Segment { bus, nodes, .. } = seg;
-            bus.flush_run_end(nodes);
+            bus.flush_run_end(nodes, horizon);
         }
         for gw in &mut self.gateways {
             gw.stats.buffered = gw.queues.iter().map(|q| q.buf.len() as u64).sum();

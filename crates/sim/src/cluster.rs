@@ -15,7 +15,8 @@
 //! input it has not yet been handed. The engine repeats:
 //!
 //! 1. **advance** — every node independently steps its local virtual
-//!    clock to the epoch boundary (parallel, no shared state);
+//!    clock to the epoch boundary, or defers provably idle time (see
+//!    [`EpochNode::advance_to`]) (parallel, no shared state);
 //! 2. **barrier** — all nodes have reached the boundary;
 //! 3. **exchange** — a caller-supplied closure runs *serially* with
 //!    exclusive access to all nodes (harvest TX queues, arbitrate the
@@ -223,7 +224,13 @@ fn spin_budget(workers: usize) -> u32 {
 /// deterministic: the post-state may depend only on the pre-state and
 /// the horizon.
 pub trait EpochNode: Send {
-    /// Advances local virtual time to (at least) `horizon`.
+    /// Advances the node through the epoch ending at `horizon`:
+    /// afterwards it must behave as if its local virtual time had
+    /// reached (at least) `horizon`. A node that can prove it does
+    /// nothing but idle until `horizon` may defer that idle time and
+    /// leave its clock behind, provided it catches up before anything
+    /// observes it (the fieldbus node catches up when a frame is
+    /// staged for it and at the end of a run).
     fn advance_to(&mut self, horizon: Time);
 }
 

@@ -14,16 +14,29 @@
 //! static ALLOC: emeralds_sim::CountingAlloc = emeralds_sim::CountingAlloc;
 //! ```
 //!
-//! Counters are relaxed atomics — the gate tests are single-threaded
-//! over the window they measure, and exactness across threads is not
-//! part of the claim.
+//! Process-wide counters are relaxed atomics. The test harness runs
+//! gate tests on parallel threads, so a gate measures its window with
+//! [`thread_alloc_count`], which counts only the calling thread's
+//! allocations: the measured windows are single-threaded.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialized and drop-free, so touching it never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 /// A [`System`]-backed allocator that counts allocations.
 pub struct CountingAlloc;
@@ -32,8 +45,7 @@ pub struct CountingAlloc;
 // addition is relaxed counter traffic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -45,14 +57,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growth that moves is an allocation for gate purposes: the
         // hot loop must not trigger it either.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -61,6 +71,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// installed as `#[global_allocator]`).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations made by the calling thread since it started.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Heap deallocations since process start.

@@ -10,7 +10,10 @@
 //! - a single-kernel `Kernel::advance_to` window mixing timer
 //!   releases, dispatches, and uncontended semaphore traffic;
 //! - a quiet-bus cluster stretch, where the epoch executive proves
-//!   idleness and crosses barriers without staging a frame.
+//!   idleness and crosses barriers without staging a frame;
+//! - a busy cluster window, where every barrier harvests, arbitrates
+//!   and stages frames while idle nodes defer their advance (the wake
+//!   cache and the per-barrier visit list).
 //!
 //! Any new allocation on these paths (a `clone` in the dispatch loop,
 //! a fresh `Vec` per epoch, a far-bucket promotion that outgrows the
@@ -21,9 +24,9 @@
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::Cluster;
+use emeralds::fieldbus::{addressed_tag, Cluster};
 use emeralds::sim::count_alloc;
-use emeralds::sim::{Duration, IrqLine, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
 #[global_allocator]
 static ALLOC: emeralds::sim::CountingAlloc = emeralds::sim::CountingAlloc;
@@ -70,9 +73,9 @@ fn steady_state_kernel_window_allocates_nothing() {
     // Warm-up: first jobs grow the ready queues, timer buckets, and
     // IRQ scratch to their high-water marks.
     k.run_until(Time::from_ms(50));
-    let before = count_alloc::alloc_count();
+    let before = count_alloc::thread_alloc_count();
     k.advance_to(Time::from_ms(100));
-    let delta = count_alloc::alloc_count() - before;
+    let delta = count_alloc::thread_alloc_count() - before;
     assert_eq!(
         delta, 0,
         "steady-state Kernel::advance_to made {delta} heap allocations"
@@ -124,12 +127,89 @@ fn quiet_cluster_stretch_allocates_nothing() {
     // Warm-up pass: epoch scratch, per-node buffers, and the bus
     // bookkeeping all reach steady capacity.
     c.run_until(Time::from_ms(60));
-    let before = count_alloc::alloc_count();
+    let before = count_alloc::thread_alloc_count();
     c.run_until(Time::from_ms(120));
-    let delta = count_alloc::alloc_count() - before;
+    let delta = count_alloc::thread_alloc_count() - before;
     assert_eq!(
         delta, 0,
         "quiet-bus cluster stretch made {delta} heap allocations"
     );
     assert!(c.metrics().jobs_completed > 0);
+}
+
+/// Six nodes on a ~50%-loaded bus: each sends an addressed frame to
+/// its ring successor every 1.2–1.7 ms and a broadcast every 5 ms, and
+/// drains its RX mailbox from an interrupt-driven driver. Between
+/// sends a node sits idle, so barriers mix real and deferred advances.
+fn busy_cluster() -> Cluster {
+    const N: usize = 6;
+    let mut c = Cluster::new(1_000_000).with_workers(1);
+    for i in 0..N {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            record_trace: false,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process(format!("n{i}"));
+        let tx = b.add_mailbox(8);
+        let rx = b.add_mailbox(16);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        let dst = NodeId(((i + 1) % N) as u32);
+        b.add_periodic_task(
+            p,
+            "unicast",
+            Duration::from_us(1_200 + 100 * i as u64),
+            Script::periodic(vec![
+                Action::Compute(Duration::from_us(30)),
+                Action::SendMbox {
+                    mbox: tx,
+                    bytes: 8,
+                    tag: addressed_tag(Some(dst), i as u32),
+                },
+            ]),
+        );
+        b.add_periodic_task(
+            p,
+            "broadcast",
+            Duration::from_ms(5),
+            Script::periodic(vec![Action::SendMbox {
+                mbox: tx,
+                bytes: 4,
+                tag: addressed_tag(None, i as u32),
+            }]),
+        );
+        b.add_driver_task(
+            p,
+            "nicdrv",
+            Duration::from_ms(1),
+            Script::looping(vec![
+                Action::RecvMbox(rx),
+                Action::Compute(Duration::from_us(15)),
+            ]),
+        );
+        c.add_node(format!("n{i}"), b.build(), tx, rx, NIC_IRQ, (i + 1) as u32);
+    }
+    c
+}
+
+#[test]
+fn busy_cluster_window_allocates_nothing() {
+    let mut c = busy_cluster();
+    c.run_until(Time::from_ms(60));
+    let sent = c.stats().frames_sent;
+    let before = count_alloc::thread_alloc_count();
+    c.run_until(Time::from_ms(120));
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "busy cluster window made {delta} heap allocations"
+    );
+    // The window carried real traffic, not a quiet stretch.
+    let s = c.stats();
+    assert!(s.frames_sent - sent > 200, "{s:?}");
+    assert!(
+        s.frames_delivered > s.frames_sent,
+        "no broadcast fan-out: {s:?}"
+    );
+    assert_eq!(s.frames_dropped, 0, "{s:?}");
 }

@@ -8,6 +8,11 @@
 //! cluster (epoch-split execution) must match a plain
 //! `Kernel::run_until` over the same horizon.
 //!
+//! The last group pins the edges of the activity-driven barrier: a
+//! node that provably cannot act before an epoch ends defers its
+//! (idle) advance, and each test below breaks if the inertness proof
+//! or a catch-up site ignores one of its edges.
+//!
 //! The comparison set defaults to 4 and `available_parallelism`
 //! workers (against a 1-worker base) and can be extended through the
 //! `EMERALDS_WORKERS` environment variable — a comma-separated list of
@@ -22,7 +27,7 @@ use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
+use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time, TraceEvent};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -625,4 +630,216 @@ fn epoch_split_run_matches_single_call() {
             a.name
         );
     }
+}
+
+/// A kernel that is idle almost all the time: one periodic task with a
+/// `period`-long gap after its 10 µs job at time 0, plus a NIC driver
+/// parked on the RX mailbox. `traced` turns the event trace on.
+fn idle_node(period: Duration, traced: bool) -> (Kernel, MboxId, MboxId) {
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::RmQueue,
+        record_trace: traced,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("idle");
+    let tx = b.add_mailbox(8);
+    let rx = b.add_mailbox(16);
+    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_periodic_task(
+        p,
+        "rare",
+        period,
+        Script::compute_only(Duration::from_us(10)),
+    );
+    b.add_driver_task(
+        p,
+        "nicdrv",
+        Duration::from_ms(2),
+        Script::looping(vec![
+            Action::RecvMbox(rx),
+            Action::Compute(Duration::from_us(40)),
+        ]),
+    );
+    (b.build(), tx, rx)
+}
+
+/// A node that sends one 8-byte frame to `dst` every `period`.
+fn make_sender(period: Duration, dst: NodeId) -> (Kernel, MboxId, MboxId) {
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::RmQueue,
+        record_trace: true,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("sender");
+    let tx = b.add_mailbox(8);
+    let rx = b.add_mailbox(8);
+    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_periodic_task(
+        p,
+        "tx",
+        period,
+        Script::periodic(vec![
+            Action::Compute(Duration::from_us(50)),
+            Action::SendMbox {
+                mbox: tx,
+                bytes: 8,
+                tag: addressed_tag(Some(dst), 1),
+            },
+        ]),
+    );
+    (b.build(), tx, rx)
+}
+
+/// Edge (a): babble is a fault-schedule instant, not a kernel event. A
+/// babbler whose kernel has nothing to do until long after the window
+/// never advances, yet every barrier must still judge its schedule:
+/// it injects exactly the window's ticks that precede the horizon.
+#[test]
+fn idle_babbler_injects_its_analytic_garbage_count() {
+    let (from, len, period) = (
+        Time::from_ms(10),
+        Duration::from_ms(10),
+        Duration::from_ms(1),
+    );
+    for horizon_us in [5_000u64, 12_345, 15_500, 25_000] {
+        let horizon = Time::from_us(horizon_us);
+        let mut c = Cluster::new(1_000_000);
+        for i in 0..2u32 {
+            let (k, tx, rx) = idle_node(Duration::from_ms(500), false);
+            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, i + 1);
+        }
+        c.set_fault_plan(&FaultPlan::new(7).babble(NodeId(0), from, len, period));
+        c.run_until(horizon);
+        // Ticks at from + k·period inside the window land at the first
+        // barrier strictly after them; the horizon is the last barrier.
+        let expected = (0..)
+            .map(|k| from + period * k)
+            .take_while(|&t| t < from + len && t < horizon)
+            .count() as u64;
+        let babbler = c.node_stats(NodeId(0));
+        assert_eq!(babbler.babble_frames, expected, "horizon {horizon_us} µs");
+        assert_eq!(c.stats().babble_frames, expected, "horizon {horizon_us} µs");
+        // At most ten flagged frames leave the babbler error-active
+        // (TEC ≤ 80), so none of the ticks fell silent in bus-off.
+        assert_eq!(babbler.bus_off_events, 0);
+    }
+}
+
+/// Edge (b): a fail-stop window opening inside an epoch makes a node
+/// non-inert even when none of its tasks is due: the gate must stall
+/// it at the window start. The reference run is split at every
+/// barrier, and every `run_until` starts with all nodes due, so it
+/// defers nothing; single runs to each of its barriers must match it
+/// in the frames lost to the dead receiver and in the receiver's
+/// clock and idle time.
+#[test]
+fn fail_stopped_idle_receiver_loses_frames_at_the_same_barriers() {
+    let victim = NodeId(1);
+    let plan = FaultPlan::new(3).fail_stop(victim, Time::from_ms(10), Duration::from_ms(10));
+    let build = || {
+        let mut c = Cluster::new(1_000_000);
+        let (k0, tx0, rx0) = make_sender(Duration::from_ms(2), victim);
+        c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
+        let (k1, tx1, rx1) = idle_node(Duration::from_ms(40), false);
+        c.add_node("victim", k1, tx1, rx1, NIC_IRQ, 2);
+        c.set_fault_plan(&plan);
+        c
+    };
+    let observe = |c: &Cluster| {
+        let m = c.node(victim).kernel.metrics();
+        (c.stats().frames_lost_offline, m.now, m.idle_time)
+    };
+    let mut reference = build();
+    let l = reference.lookahead();
+    let barriers = 30_000 / l.as_us();
+    let mut series = Vec::new();
+    for k in 1..=barriers {
+        reference.run_until(Time::ZERO + l * k);
+        series.push(observe(&reference));
+    }
+    let lost = series.last().expect("barriers").0;
+    assert!(lost >= 4, "the outage swallowed too few frames: {lost}");
+    for (k, want) in (1..=barriers).zip(&series) {
+        let mut c = build();
+        c.run_until(Time::ZERO + l * k);
+        assert_eq!(&observe(&c), want, "barrier {k}");
+    }
+}
+
+/// Edge (c): a receiver idle for many epochs has deferred its clock.
+/// Its first delivery after the gap must still start at the staging
+/// barrier (the catch-up in staging), and at the horizon its clock and
+/// idle time must be whole (the catch-up in the end-of-run flush).
+#[test]
+fn long_idle_receiver_sees_its_first_delivery_at_the_staging_barrier() {
+    let horizon = Time::from_ms(40);
+    let (sender, receiver) = (NodeId(0), NodeId(1));
+    let build = || {
+        let mut c = Cluster::new(1_000_000);
+        let (k0, tx0, rx0) = make_sender(Duration::from_ms(25), receiver);
+        c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
+        let (k1, tx1, rx1) = idle_node(Duration::from_ms(100), true);
+        c.add_node("receiver", k1, tx1, rx1, NIC_IRQ, 2);
+        c
+    };
+    let mut c = build();
+    c.run_until(horizon);
+
+    // Each post lands mid-epoch, so it is harvested and granted at the
+    // next grid point and completes one frame time later, on the grid
+    // again: that barrier stages it.
+    let l = c.lookahead();
+    assert_eq!(c.frame_time(8), l);
+    let times = |id: NodeId, kind: fn(&TraceEvent) -> bool| -> Vec<Time> {
+        c.node(id)
+            .kernel
+            .trace()
+            .iter()
+            .filter(|(_, e)| kind(e))
+            .map(|&(t, _)| t)
+            .collect()
+    };
+    let staged: Vec<Time> = times(sender, |e| matches!(e, TraceEvent::MboxSend { .. }))
+        .iter()
+        .map(|p| Time::ZERO + l * (p.since(Time::ZERO).as_ns() / l.as_ns() + 2))
+        .collect();
+    assert_eq!(staged.len(), 2, "one post per job: {staged:?}");
+    // The second delivery follows ~25 ms of receiver idleness. Both
+    // take the same kernel path (push to the parked driver, then the
+    // NIC interrupt), so both must sit at the same offset past their
+    // staging barrier.
+    for kind in [
+        (|e: &TraceEvent| matches!(e, TraceEvent::MboxRecv { .. })) as fn(&TraceEvent) -> bool,
+        |e| matches!(e, TraceEvent::IrqRaised { .. }),
+    ] {
+        let at = times(receiver, kind);
+        assert_eq!(at.len(), 2, "{at:?}");
+        assert!(
+            at.iter().zip(&staged).all(|(t, s)| t >= s),
+            "{at:?} before {staged:?}"
+        );
+        let offsets: Vec<Duration> = at.iter().zip(&staged).map(|(t, s)| t.since(*s)).collect();
+        assert!(offsets[0] < l, "{at:?} vs {staged:?}");
+        assert_eq!(offsets[0], offsets[1], "{at:?} vs {staged:?}");
+    }
+    let m = c.node(receiver).kernel.metrics();
+    assert_eq!(m.now, horizon, "receiver clock left behind");
+    assert_eq!(
+        m.idle_time,
+        horizon.since(Time::ZERO) - m.app_time - m.total_overhead,
+        "idle time not whole"
+    );
+
+    // A run split at every barrier defers nothing (each `run_until`
+    // starts with every node due): the receiver's trace must match.
+    let mut reference = build();
+    for k in 1..=horizon.since(Time::ZERO).as_ns() / l.as_ns() {
+        reference.run_until(Time::ZERO + l * k);
+    }
+    reference.run_until(horizon);
+    assert_eq!(
+        c.node(receiver).kernel.trace().to_jsonl(),
+        reference.node(receiver).kernel.trace().to_jsonl()
+    );
+    assert_eq!(m, reference.node(receiver).kernel.metrics());
 }
