@@ -4,20 +4,22 @@
 //! [`Cluster`] runs each [`Kernel`] on the deterministic
 //! conservative-lookahead engine of [`emeralds_sim::run_epochs`]:
 //!
-//! - **Epoch**: every node that can act advances its local virtual
-//!   clock by one lookahead window *L* (default: one max-size
+//! - **Epoch**: every node on the bus's *agenda* advances its local
+//!   virtual clock by one lookahead window *L* (default: one max-size
 //!   bus-frame time — no frame can cross the bus faster, so no node
 //!   can miss an input by running ahead). A node that provably cannot
 //!   act before the window ends — nothing staged for it, no running
 //!   thread, no timer or device event and no fail-stop window before
-//!   the barrier — defers that idle time instead, and catches its
-//!   clock up with one idle advance when a frame is staged for it or
-//!   the run ends (DESIGN.md §19).
-//! - **Barrier exchange** (serial, node order): deliver in-flight
-//!   frames whose wire time completed, harvest the TX mailboxes of
-//!   the nodes that advanced onto the arbitration queue, then grant
-//!   the bus CAN-style (lowest arbitration id first, FIFO within an
-//!   id) for every transmission that *starts* inside the next window.
+//!   the barrier — is left off the agenda and not touched at all; it
+//!   catches its clock up with one idle advance when a frame is staged
+//!   for it or the run ends (DESIGN.md §19).
+//! - **Barrier exchange** (serial, node order): bring bus-off nodes
+//!   back whose recovery time has passed, deliver in-flight frames
+//!   whose wire time completed, harvest the TX mailboxes of the nodes
+//!   that advanced onto the arbitration queue, then grant the bus
+//!   CAN-style (lowest arbitration id first, FIFO within an id) for
+//!   every transmission that *starts* inside the next window, and
+//!   draw up the next epoch's agenda.
 //!
 //! Timing model: the bus samples at each barrier. A message posted
 //! during an epoch, or a state-message version written during it, is
@@ -31,14 +33,15 @@
 //! Results are bit-for-bit identical for any worker count;
 //! `tests/cluster_determinism.rs` pins this.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 use emeralds_core::kernel::{ClusterMetrics, NodeMetrics};
 use emeralds_core::Kernel;
 use emeralds_faults::{FaultClock, FaultPlan};
 use emeralds_sim::{
-    run_epochs_reusing, Duration, EpochConfig, EpochNode, EpochScratch, IrqLine, MboxId, NodeId,
-    StateId, Time,
+    run_epochs_reusing, Duration, EpochConfig, EpochExchange, EpochNode, EpochScratch, IrqLine,
+    MboxId, NodeId, StateId, Time,
 };
 
 use crate::errors::{ErrorConfig, FailStopGate, NodeStats};
@@ -109,12 +112,6 @@ pub struct ClusterNode {
     /// order, fault judgement, arbitration) remain serial; the
     /// exchange consumes this buffer in node order.
     staged_tx: Vec<emeralds_core::ipc::Message>,
-    /// The kernel's `next_external_time()` as of the end of its last
-    /// real advance (`Some(Time::ZERO)` while due: see
-    /// [`ClusterNode::mark_due`]).
-    wake: Option<Time>,
-    /// Set by a real advance, taken by the next barrier's exchange.
-    advanced: bool,
     /// Has a fail-stop or babble schedule, so every barrier judges it.
     faulted: bool,
 }
@@ -145,26 +142,8 @@ impl ClusterNode {
             inbox: Vec::new(),
             outcome: RxOutcome::default(),
             staged_tx: Vec::new(),
-            wake: Some(Time::ZERO),
-            advanced: false,
             faulted: false,
         }
-    }
-
-    /// Installs this node's slice of a compiled fault schedule (its
-    /// fail-stop gate; babble stays on the bus's clock). `index` is the
-    /// node's index on its own bus.
-    pub(crate) fn set_faults(&mut self, fc: &FaultClock, index: usize) {
-        let windows = fc.down_windows(index);
-        self.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
-        self.faulted = fc.has_schedule(index);
-    }
-
-    /// Forces the next advance to be a real one. Callers may change a
-    /// kernel through `node_mut` between `run_until` calls (post to
-    /// its TX mailbox, say), which the cached wake cannot see.
-    fn mark_due(&mut self) {
-        self.wake = Some(Time::ZERO);
     }
 
     /// Is the node provably inert until `end`? No staged reception, no
@@ -172,12 +151,31 @@ impl ClusterNode {
     /// fail-stop window opening before it. An idle kernel's `step`
     /// then only moves its clock and `acct.idle`, so the advance can
     /// be deferred. A wake exactly at `end` is inert: occurrences due
-    /// at a barrier run at the top of the next epoch.
+    /// at a barrier run at the top of the next epoch. Asked of the
+    /// node itself, this is the debug oracle the agenda is checked
+    /// against ([`BusState::plan`]).
+    #[cfg(debug_assertions)]
     fn inert_until(&self, end: Time) -> bool {
         self.inbox.is_empty()
             && self.kernel.current().is_none()
-            && self.wake.is_none_or(|w| w >= end)
-            && self.gate.as_ref().is_none_or(|g| g.quiet_before(end))
+            && self.kernel.next_external_time().is_none_or(|w| w >= end)
+            && self
+                .gate
+                .as_ref()
+                .and_then(FailStopGate::next_start)
+                .is_none_or(|start| start >= end)
+    }
+
+    /// The node's agenda key after an advance: `Time::ZERO` while a
+    /// reception is staged for it or a thread is running (it must
+    /// advance whatever the epoch end), else the earliest of its
+    /// kernel's `wake` and its next fail-stop window start.
+    fn key(&self, wake: Option<Time>, running: bool) -> Time {
+        if running || !self.inbox.is_empty() {
+            return Time::ZERO;
+        }
+        let gate = self.gate.as_ref().and_then(FailStopGate::next_start);
+        wake.unwrap_or(Time::MAX).min(gate.unwrap_or(Time::MAX))
     }
 
     /// Brings a deferred node's clock (and idle time) up to the
@@ -228,11 +226,6 @@ impl ClusterNode {
 
 impl EpochNode for ClusterNode {
     fn advance_to(&mut self, horizon: Time) {
-        // The skip reads only this node's own state, so the parallel
-        // path stays race-free and deterministic.
-        if self.inert_until(horizon) {
-            return;
-        }
         // NIC delivery DMA runs here, in parallel, not under the
         // serial exchange. The inbox was staged at the barrier this
         // advance starts from, so the kernel clock equals the staging
@@ -255,9 +248,6 @@ impl EpochNode for ClusterNode {
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
-        // Refreshed after the pops: one may unblock a parked sender.
-        self.wake = self.kernel.next_external_time();
-        self.advanced = true;
     }
 }
 
@@ -313,6 +303,27 @@ pub(crate) struct BusState {
     /// Reused per-barrier list of the nodes the exchange must visit
     /// (see [`BusState::exchange`]), in node order.
     active: Vec<usize>,
+    /// The agenda (DESIGN.md §19), one key per node: the epoch must
+    /// advance the node exactly when its key falls before the epoch
+    /// end (see [`ClusterNode::key`]).
+    key: Vec<Time>,
+    /// Each node's kernel `next_external_time()` as of its last
+    /// advance, refreshed after the TX pops (one may unblock a parked
+    /// sender).
+    wake: Vec<Option<Time>>,
+    /// The current epoch's due list, in node order.
+    due: Vec<usize>,
+    /// The nodes with a fault schedule or bus-off, in node order: the
+    /// exchange visits them whether due or not.
+    watch: Vec<usize>,
+    /// A reception was staged, or a thread still runs after an
+    /// advance, at the last barrier: the next window is not quiet.
+    busy: bool,
+    /// The next epoch starts a run and advances every node, whatever
+    /// the keys say: callers may change a kernel through `node_mut`
+    /// between `run_until` calls (post to its TX mailbox, say), which
+    /// no key can see.
+    run_start: bool,
 }
 
 impl BusState {
@@ -343,6 +354,12 @@ impl BusState {
             wide_tags: false,
             stage_scratch: Vec::new(),
             active: Vec::new(),
+            key: Vec::new(),
+            wake: Vec::new(),
+            due: Vec::new(),
+            watch: Vec::new(),
+            busy: false,
+            run_start: true,
         };
         bus.lookahead = bus.frame_time(8);
         bus
@@ -362,9 +379,19 @@ impl BusState {
         self.seq += 1;
     }
 
-    /// Installs a compiled fault schedule (the topology executive's
-    /// per-segment split; [`Cluster::set_fault_plan`] sets its own).
-    pub(crate) fn set_faults(&mut self, fc: FaultClock) {
+    /// Installs a compiled fault schedule: each node's fail-stop gate
+    /// (babble stays on the bus's clock), and the watch list of the
+    /// nodes every barrier must judge.
+    pub(crate) fn set_faults(&mut self, fc: FaultClock, nodes: &mut [ClusterNode]) {
+        self.watch.clear();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let windows = fc.down_windows(i);
+            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
+            node.faulted = fc.has_schedule(i);
+            if node.faulted || node.stats.is_bus_off() {
+                self.watch.push(i);
+            }
+        }
         self.faults = Some(fc);
     }
 
@@ -392,39 +419,44 @@ impl BusState {
     }
 
     /// The serial barrier step: roll up, recover, stage deliveries,
-    /// consume the sharded TX harvest, babble, arbitrate. Runs in
-    /// node order on one thread, so every fault decision here is
-    /// deterministic for any worker count. Per-node kernel work is
-    /// *not* done here — receptions (mailbox push, replica DMA, IRQ
-    /// latch) are staged into node inboxes and applied by each node's
-    /// own worker at the top of the next advance, and TX-mailbox pops
-    /// already ran in each node's advance epilogue — keeping the
-    /// serial section down to frame arbitration and routing.
+    /// consume the sharded TX harvest, babble, arbitrate, re-key the
+    /// agenda. Runs in node order on one thread, so every fault
+    /// decision here is deterministic for any worker count. Per-node
+    /// kernel work is *not* done here — receptions (mailbox push,
+    /// replica DMA, IRQ latch) are staged into node inboxes and
+    /// applied by each node's own worker at the top of the next
+    /// advance, and TX-mailbox pops already ran in each node's advance
+    /// epilogue — keeping the serial section down to frame arbitration
+    /// and routing.
     ///
     /// The per-node passes visit only the nodes that can have work:
-    /// those that advanced this epoch (tallies, TX), those with a
-    /// fault schedule (outages, babble) and those bus-off (recovery).
-    /// A node skipped as inert has none of these, and visiting the
-    /// rest in node order keeps every sequence number unchanged.
+    /// the epoch's due list (tallies, TX) merged with the watch list
+    /// (outages, babble, bus-off recovery). A node on neither has none
+    /// of these, and visiting the rest in node order keeps every
+    /// sequence number unchanged. The exchange ends by giving each
+    /// node that advanced a fresh agenda key.
     pub(crate) fn exchange(&mut self, nodes: &mut [&mut ClusterNode], now: Time) {
+        self.busy = false;
         let mut active = std::mem::take(&mut self.active);
-        active.clear();
+        merge_sorted(&self.due, &self.watch, &mut active);
         // 0. Fold the previous epoch's node-local delivery tallies
         //    into the global stats (order-independent sums), and
         //    complete due bus-off recoveries before anything else this
         //    barrier: a recovered node sends and receives again.
         let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if !(std::mem::take(&mut node.advanced) || node.faulted || node.stats.is_bus_off()) {
-                continue;
-            }
-            active.push(i);
+        for &i in &active {
+            let node = &mut *nodes[i];
             let o = std::mem::take(&mut node.outcome);
             self.stats.frames_delivered += o.delivered;
             self.stats.frames_dropped += o.dropped;
             self.stats.total_latency += o.latency;
             if node.stats.try_recover(now, recovery) {
                 self.stats.bus_off_recoveries += 1;
+                if !node.faulted {
+                    if let Ok(at) = self.watch.binary_search(&i) {
+                        self.watch.remove(at);
+                    }
+                }
             }
         }
 
@@ -579,6 +611,9 @@ impl BusState {
             }
             if entered_busoff {
                 self.stats.bus_off_events += 1;
+                if let Err(at) = self.watch.binary_search(&src) {
+                    self.watch.insert(at, src);
+                }
                 // Bus-off kills the controller: the failed frame and
                 // everything it still had queued are lost.
                 if !frame.garbage {
@@ -593,6 +628,52 @@ impl BusState {
                 self.pending.push((prio, seq, frame));
             }
         }
+
+        // 4. Fresh agenda keys for the nodes that advanced (a staged
+        //    reception already zeroed its receiver's key, and `key`
+        //    keeps it at zero).
+        for &i in &self.due {
+            let node = &*nodes[i];
+            let wake = node.kernel.next_external_time();
+            let running = node.kernel.current().is_some();
+            self.busy |= running;
+            self.wake[i] = wake;
+            self.key[i] = node.key(wake, running);
+        }
+    }
+
+    /// The agenda for the epoch ending at `end`: the nodes whose key
+    /// falls before `end`, in node order, or every node at the start
+    /// of a run. Debug builds check it against each node's own
+    /// [`ClusterNode::inert_until`] at every barrier, and the wake
+    /// mirror against each kernel.
+    fn plan(&mut self, nodes: &[&mut ClusterNode], end: Time) -> &[usize] {
+        self.due.clear();
+        if std::mem::take(&mut self.run_start) {
+            self.key.resize(nodes.len(), Time::ZERO);
+            self.wake.resize(nodes.len(), None);
+            self.due.extend(0..nodes.len());
+            return &self.due;
+        }
+        self.due
+            .extend((0..self.key.len()).filter(|&i| self.key[i] < end));
+        #[cfg(debug_assertions)]
+        {
+            let mut due = self.due.iter().peekable();
+            for (i, node) in nodes.iter().enumerate() {
+                assert_eq!(
+                    self.wake[i],
+                    node.kernel.next_external_time(),
+                    "stale wake of node {i}"
+                );
+                assert_eq!(
+                    due.next_if_eq(&&i).is_some(),
+                    !node.inert_until(end),
+                    "agenda disagrees with node {i} for the epoch ending at {end:?}"
+                );
+            }
+        }
+        &self.due
     }
 
     /// Stages a completed frame into its receivers' inboxes at the
@@ -641,6 +722,8 @@ impl BusState {
             }
             let latency = done.since(frame.queued_at.min(done));
             nodes[t].catch_up(now);
+            self.key[t] = Time::ZERO;
+            self.busy = true;
             if let Some(sp) = frame.state {
                 // State frame: the replica DMA carries the original
                 // writer's stamp end to end.
@@ -717,7 +800,7 @@ impl BusState {
         if !self.adaptive {
             return None;
         }
-        let (strict, at_or) = self.quiet_classes(nodes.iter().map(|n| &**n), now)?;
+        let (strict, at_or) = self.quiet_classes(nodes, now)?;
         let l = self.lookahead.as_ns();
         let grid = |k: u64| k.checked_mul(l).map(|ns| origin + Duration::from_ns(ns));
         // No bound at all: nothing will ever happen again, run
@@ -747,37 +830,28 @@ impl BusState {
     /// The quietness test shared by both adaptive rules (the inner
     /// grid rule above and the topology's outer-cadence rule): `None`
     /// when the bus cannot prove the next window empty — frames
-    /// pending arbitration, staged deliveries or harvests, or a
-    /// running kernel. Otherwise the earliest instant of each
+    /// pending arbitration, a staged delivery, or a running kernel
+    /// (the `busy` flag). Otherwise the earliest instant of each
     /// barrier-placement class — `(strict, at_or)`, with the class
     /// semantics of [`BusState::next_barrier_proposal`] — at which
     /// anything on this bus can act again (`None` entries = never).
-    pub(crate) fn quiet_classes<'a>(
+    /// It reads the dense wake mirror and visits only the watch list.
+    pub(crate) fn quiet_classes<N: Borrow<ClusterNode>>(
         &self,
-        nodes: impl Iterator<Item = &'a ClusterNode>,
+        nodes: &[N],
         now: Time,
     ) -> Option<(Option<Time>, Option<Time>)> {
-        if !self.pending.is_empty() {
+        if self.busy || !self.pending.is_empty() {
             return None;
         }
-        let mut strict: Option<Time> = None;
+        let mut strict: Option<Time> = self.wake.iter().flatten().min().copied();
         let mut at_or: Option<Time> = None;
         let fold = |slot: &mut Option<Time>, t: Time| {
             *slot = Some(slot.map_or(t, |m| m.min(t)));
         };
         let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        // One pass over the nodes: any busy node vetoes the stretch
-        // outright (partially folded bounds are discarded with it);
-        // every quiet node contributes its wake instants.
-        for n in nodes {
-            if !n.inbox.is_empty() || !n.staged_tx.is_empty() || n.kernel.current().is_some() {
-                return None;
-            }
-            debug_assert_eq!(n.wake, n.kernel.next_external_time(), "stale wake");
-            if let Some(t) = n.wake {
-                fold(&mut strict, t);
-            }
-            if let Some(since) = n.stats.bus_off_since {
+        for &i in &self.watch {
+            if let Some(since) = nodes[i].borrow().stats.bus_off_since {
                 fold(&mut at_or, since + recovery);
             }
         }
@@ -806,13 +880,13 @@ impl BusState {
     /// snapshot what is still underway so the ledger
     /// `sent == delivered + dropped + in_flight` is exact at this
     /// horizon (garbage frames never counted as sent, so they don't
-    /// count here). Accessors see every node at the horizon, and every
-    /// node starts the next run due, whatever the caller changes in
-    /// between.
+    /// count here). Accessors see every node at the horizon, and the
+    /// next run starts by advancing every node, whatever the caller
+    /// changes in between.
     pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode], horizon: Time) {
+        self.run_start = true;
         for node in nodes.iter_mut() {
             node.catch_up(horizon);
-            node.mark_due();
             node.apply_inbox();
             let o = std::mem::take(&mut node.outcome);
             self.stats.frames_delivered += o.delivered;
@@ -822,6 +896,63 @@ impl BusState {
         self.stats.frames_in_flight = self.in_flight.len() as u64
             + self.pending.iter().filter(|(_, _, f)| !f.garbage).count() as u64;
     }
+
+    /// Drives `nodes` on this bus from `from` to `horizon` through the
+    /// epoch engine: [`Cluster::run_until`] and every
+    /// [`crate::Topology`] segment's inner loop.
+    pub(crate) fn run(
+        &mut self,
+        nodes: &mut Vec<ClusterNode>,
+        from: Time,
+        horizon: Time,
+        workers: usize,
+        scratch: &mut EpochScratch,
+    ) -> EpochStats {
+        let cfg = EpochConfig {
+            lookahead: self.lookahead,
+            workers,
+        };
+        let mut epochs = BusEpochs {
+            bus: self,
+            origin: from,
+            horizon,
+        };
+        run_epochs_reusing(nodes, from, horizon, &cfg, &mut epochs, scratch)
+    }
+}
+
+/// One bus's side of the epoch engine for one run: the exchange with
+/// its adaptive proposal, and the agenda.
+struct BusEpochs<'a> {
+    bus: &'a mut BusState,
+    origin: Time,
+    horizon: Time,
+}
+
+impl EpochExchange<ClusterNode> for BusEpochs<'_> {
+    fn exchange(&mut self, nodes: &mut [&mut ClusterNode], at: Time) -> Option<Time> {
+        self.bus.exchange(nodes, at);
+        self.bus
+            .next_barrier_proposal(nodes, at, self.origin, self.horizon)
+    }
+
+    fn due(&mut self, nodes: &[&mut ClusterNode], end: Time) -> Option<&[usize]> {
+        Some(self.bus.plan(nodes, end))
+    }
+}
+
+/// Merges two ascending index lists into `out`, each index once.
+fn merge_sorted(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// N independent kernels over one priority-arbitrated bus, advanced in
@@ -937,10 +1068,7 @@ impl Cluster {
     /// Panics when the plan references a node index out of range.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         let fc = FaultClock::new(plan, self.nodes.len());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.set_faults(&fc, i);
-        }
-        self.bus.faults = Some(fc);
+        self.bus.set_faults(fc, &mut self.nodes);
     }
 
     /// Registers a networked state-message route: the writer variable
@@ -1027,21 +1155,11 @@ impl Cluster {
         if horizon <= self.cursor {
             return;
         }
-        let cfg = EpochConfig {
-            lookahead: self.bus.lookahead,
-            workers: self.workers,
-        };
-        let origin = self.cursor;
-        let bus = &mut self.bus;
-        let stats = run_epochs_reusing(
+        let stats = self.bus.run(
             &mut self.nodes,
-            origin,
+            self.cursor,
             horizon,
-            &cfg,
-            &mut |nodes, at| {
-                bus.exchange(nodes, at);
-                bus.next_barrier_proposal(nodes, at, origin, horizon)
-            },
+            self.workers,
             &mut self.epoch_scratch,
         );
         self.exec_stats.merge(&stats);

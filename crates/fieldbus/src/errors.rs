@@ -198,14 +198,12 @@ impl FailStopGate {
         }
     }
 
-    /// True when no outage the gate has yet to apply starts before
-    /// `end`, so [`FailStopGate::drive`] to `end` would be a plain
+    /// Start of the first outage the gate has yet to apply, if any:
+    /// [`FailStopGate::drive`] to any `end` at or before it is a plain
     /// advance. Conservative: a window already behind the kernel that
-    /// the gate has not stepped past yet also answers `false`.
-    pub fn quiet_before(&self, end: Time) -> bool {
-        self.windows
-            .get(self.next)
-            .is_none_or(|&(start, _)| start >= end)
+    /// the gate has not stepped past yet still counts.
+    pub fn next_start(&self) -> Option<Time> {
+        self.windows.get(self.next).map(|&(start, _)| start)
     }
 
     /// Advances the kernel to `horizon` (one epoch), stalling

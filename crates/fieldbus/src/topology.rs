@@ -98,6 +98,7 @@
 //! [`cost`]: GatewayConfig::cost
 //! [`FaultPlan`]: emeralds_faults::FaultPlan
 
+use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -106,8 +107,8 @@ use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::{FaultClock, FaultEvent, FaultPlan, GatewayFaultClock};
 use emeralds_sim::{
-    run_epochs, run_two_level, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine, MboxId,
-    NodeId, Time, TwoLevelStats,
+    run_two_level, Duration, EpochConfig, EpochGroup, EpochScratch, EpochStats, IrqLine, MboxId,
+    NodeId, Time, TwoLevelScratch, TwoLevelStats,
 };
 
 use crate::cluster::{BusState, ClusterNode, SegmentRouting};
@@ -396,6 +397,8 @@ struct Segment {
     /// Global node id of each local node, parallel to `nodes`.
     globals: Vec<u32>,
     cursor: Time,
+    /// The inner loop's engine scratch, kept across outer epochs.
+    scratch: EpochScratch,
 }
 
 impl EpochGroup for Segment {
@@ -404,16 +407,9 @@ impl EpochGroup for Segment {
             self.cursor = self.cursor.max(horizon);
             return EpochStats::default();
         }
-        let cfg = EpochConfig {
-            lookahead: self.bus.lookahead,
-            workers: 1,
-        };
-        let origin = self.cursor;
-        let bus = &mut self.bus;
-        let stats = run_epochs(&mut self.nodes, origin, horizon, &cfg, &mut |nodes, at| {
-            bus.exchange(nodes, at);
-            bus.next_barrier_proposal(nodes, at, origin, horizon)
-        });
+        let stats = self
+            .bus
+            .run(&mut self.nodes, self.cursor, horizon, 1, &mut self.scratch);
         self.cursor = horizon;
         stats
     }
@@ -495,6 +491,8 @@ pub struct Topology {
     events: Vec<TopoEvent>,
     cursor: Time,
     exec_stats: TwoLevelStats,
+    /// The two-level engine's buffers, kept across `run_until` calls.
+    scratch: TwoLevelScratch<Segment>,
 }
 
 impl Topology {
@@ -518,6 +516,7 @@ impl Topology {
             events: Vec::new(),
             cursor: Time::ZERO,
             exec_stats: TwoLevelStats::default(),
+            scratch: TwoLevelScratch::default(),
         }
     }
 
@@ -544,6 +543,7 @@ impl Topology {
             nodes: Vec::new(),
             globals: Vec::new(),
             cursor: self.cursor,
+            scratch: EpochScratch::default(),
         });
         self.routes_dirty = true;
         SegmentId(self.segments.len() as u32 - 1)
@@ -765,10 +765,7 @@ impl Topology {
         }
         for (si, seg) in self.segments.iter_mut().enumerate() {
             let fc = FaultClock::new(&per[si], seg.nodes.len());
-            for (i, node) in seg.nodes.iter_mut().enumerate() {
-                node.set_faults(&fc, i);
-            }
-            seg.bus.set_faults(fc);
+            seg.bus.set_faults(fc, &mut seg.nodes);
         }
         self.gw_faults = (!plan.gateway_events.is_empty()).then_some(gc);
         self.routes_dirty = true;
@@ -920,17 +917,14 @@ impl Topology {
         // Judge gateway liveness at the run start so the first routes
         // already reflect outages that began while the executive was
         // parked (the initial build doesn't count as a reroute).
-        {
-            let mut refs: Vec<&mut Segment> = self.segments.iter_mut().collect();
-            judge_gateways(
-                &mut refs,
-                &mut self.gateways,
-                self.gw_faults.as_ref(),
-                self.cursor,
-                &mut self.events,
-                &mut self.routes_dirty,
-            );
-        }
+        judge_gateways(
+            &mut self.segments,
+            &mut self.gateways,
+            self.gw_faults.as_ref(),
+            self.cursor,
+            &mut self.events,
+            &mut self.routes_dirty,
+        );
         self.ensure_routes();
         let outer_l = self.inter_lookahead();
         let cfg = EpochConfig {
@@ -983,6 +977,7 @@ impl Topology {
                 }
                 outer_proposal(segs, gateways, clock, at, origin, outer_l, horizon)
             },
+            &mut self.scratch,
         );
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
@@ -1106,8 +1101,8 @@ fn build_routes(n: usize, gateways: &[Gateway]) -> RouteTables {
 /// buffered frames (charged to their origin segments) on the way down
 /// and resetting the server clock on the way up. Either transition
 /// marks the route table dirty.
-fn judge_gateways(
-    segs: &mut [&mut Segment],
+fn judge_gateways<S: BorrowMut<Segment>>(
+    segs: &mut [S],
     gateways: &mut [Gateway],
     clock: Option<&GatewayFaultClock>,
     at: Time,
@@ -1122,7 +1117,7 @@ fn judge_gateways(
             for q in &mut gw.queues {
                 for (_, _, frame) in q.buf.drain(..) {
                     let origin = frame.origin_seg.expect("captured frames carry origin");
-                    let stats = &mut segs[origin as usize].bus.stats;
+                    let stats = &mut segs[origin as usize].borrow_mut().bus.stats;
                     stats.frames_dropped += 1;
                     stats.frames_lost_gateway += 1;
                     dropped += 1;
@@ -1167,8 +1162,8 @@ fn route_frames(
     at: Time,
 ) {
     for si in 0..segs.len() {
-        let out = std::mem::take(&mut segs[si].bus.remote_out);
-        for (done, mut frame) in out {
+        let mut out = std::mem::take(&mut segs[si].bus.remote_out);
+        for (done, mut frame) in out.drain(..) {
             // The origin segment is stamped at the *first* capture and
             // survives multi-hop forwarding; every drop downstream is
             // charged there, where the frame was counted `sent`.
@@ -1204,6 +1199,7 @@ fn route_frames(
             q.buf.push_back((done, seq, frame));
             gw.stats.peak_depth = gw.stats.peak_depth.max(q.buf.len() as u64);
         }
+        segs[si].bus.remote_out = out; // hand the capacity back
     }
     for gw in gateways.iter_mut() {
         if !gw.up {
@@ -1255,7 +1251,7 @@ fn outer_proposal(
         if !seg.bus.remote_out.is_empty() {
             return None; // defensive: capture just drained these
         }
-        let (s, a) = seg.bus.quiet_classes(seg.nodes.iter(), at)?;
+        let (s, a) = seg.bus.quiet_classes(&seg.nodes, at)?;
         if let Some(t) = s {
             fold(&mut strict, t);
         }

@@ -14,13 +14,16 @@
 //! bus-frame latency (the *lookahead window*) without observing any
 //! input it has not yet been handed. The engine repeats:
 //!
-//! 1. **advance** — every node independently steps its local virtual
-//!    clock to the epoch boundary, or defers provably idle time (see
-//!    [`EpochNode::advance_to`]) (parallel, no shared state);
+//! 1. **advance** — every node on the epoch's *due list* independently
+//!    steps its local virtual clock to the epoch boundary (parallel,
+//!    no shared state); a node left off the list is provably idle
+//!    until the boundary and is not touched at all (see
+//!    [`EpochExchange::due`]);
 //! 2. **barrier** — all nodes have reached the boundary;
-//! 3. **exchange** — a caller-supplied closure runs *serially* with
+//! 3. **exchange** — a caller-supplied exchange runs *serially* with
 //!    exclusive access to all nodes (harvest TX queues, arbitrate the
-//!    bus, deliver due frames).
+//!    bus, deliver due frames) and names the nodes the next epoch must
+//!    advance.
 //!
 //! Determinism: a node's advance depends only on its own pre-epoch
 //! state (nodes share nothing until the barrier), and the exchange is
@@ -33,31 +36,16 @@
 //! node type; this crate stays free of kernel types.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use crate::profile::{HotSpot, Subsystem};
 use crate::time::{Duration, Time};
 
-/// Reinterprets a scratch buffer of raw node pointers as the
-/// `&mut [&mut N]` slice the exchange closure expects, without
-/// allocating a fresh `Vec<&mut N>` per epoch.
-///
-/// # Safety
-///
-/// Caller must guarantee the pointers were collected from *distinct*
-/// elements of an exclusively borrowed collection, that the exclusive
-/// borrow is still in force, and that the returned slice is dropped
-/// before that collection is touched again.
-unsafe fn scratch_as_refs<N>(scratch: &mut Vec<*mut N>) -> &mut [&mut N] {
-    // `*mut N` and `&mut N` have identical layout for sized `N`.
-    std::slice::from_raw_parts_mut(scratch.as_mut_ptr().cast::<&mut N>(), scratch.len())
-}
-
-/// Reusable scratch for the serial path of [`run_epochs`], held by
-/// callers that split a run into many `run_until` calls (a cluster
-/// advanced to successive horizons): with the buffer persisted, a
-/// warmed steady-state call performs **zero** heap allocations — the
+/// Reusable scratch for [`run_epochs_reusing`], held by callers that
+/// split a run into many `run_until` calls (a cluster advanced to
+/// successive horizons): with the buffer persisted, a warmed
+/// steady-state serial call performs **zero** heap allocations — the
 /// claim the `alloc_gate` tests pin. Stores pointer-sized words, not
 /// pointers, so a held buffer never carries a live address between
 /// calls.
@@ -65,13 +53,16 @@ unsafe fn scratch_as_refs<N>(scratch: &mut Vec<*mut N>) -> &mut [&mut N] {
 pub struct EpochScratch(Vec<usize>);
 
 /// Reinterprets a word buffer freshly filled with `*mut N` addresses
-/// as the `&mut [&mut N]` slice the exchange closure expects.
+/// as the `&mut [&mut N]` slice the exchange expects, without
+/// allocating a fresh `Vec<&mut N>`.
 ///
 /// # Safety
 ///
-/// Same contract as [`scratch_as_refs`]; additionally every word must
-/// have been written from a `*mut N` in this borrow's lifetime.
-unsafe fn words_as_refs<N>(words: &mut Vec<usize>) -> &mut [&mut N] {
+/// Caller must guarantee every word was written from a `*mut N` to a
+/// *distinct* element of an exclusively borrowed collection, that the
+/// exclusive borrow is still in force, and that the returned slice is
+/// dropped before that collection is touched again.
+pub(crate) unsafe fn words_as_refs<N>(words: &mut Vec<usize>) -> &mut [&mut N] {
     // `usize`, `*mut N`, and `&mut N` have identical layout for
     // sized `N`.
     std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<&mut N>(), words.len())
@@ -204,6 +195,22 @@ impl HybridBarrier {
     }
 }
 
+/// Releases the followers into shutdown when the leader leaves the
+/// epoch loop, by return or by panic: a panicking exchange (a failed
+/// debug check, say) must fail the run, not leave the followers
+/// waiting at the barrier forever.
+struct Shutdown<'a> {
+    barrier: &'a HybridBarrier,
+    done: &'a AtomicBool,
+}
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Release);
+        self.barrier.leader_release();
+    }
+}
+
 /// Spin budget before a barrier waiter parks. With enough cores for
 /// every worker, generous spinning wins (parking costs a futex round
 /// trip per epoch); oversubscribed, spinning only delays the thread
@@ -226,12 +233,44 @@ fn spin_budget(workers: usize) -> u32 {
 pub trait EpochNode: Send {
     /// Advances the node through the epoch ending at `horizon`:
     /// afterwards it must behave as if its local virtual time had
-    /// reached (at least) `horizon`. A node that can prove it does
-    /// nothing but idle until `horizon` may defer that idle time and
-    /// leave its clock behind, provided it catches up before anything
-    /// observes it (the fieldbus node catches up when a frame is
-    /// staged for it and at the end of a run).
+    /// reached (at least) `horizon`. The engine calls it only for the
+    /// nodes on the epoch's due list ([`EpochExchange::due`]); a node
+    /// left off is not called, and its clock stays behind until its
+    /// owner catches it up (the fieldbus executive does so when a frame
+    /// is staged for the node and at the end of a run).
     fn advance_to(&mut self, horizon: Time);
+}
+
+/// The serial side of the epoch engine: the barrier exchange, plus the
+/// agenda of which nodes each epoch must advance.
+pub trait EpochExchange<N> {
+    /// Runs at every barrier `at` with exclusive, in-order access to
+    /// all nodes, and returns a next-barrier proposal (see
+    /// [`run_epochs`]).
+    fn exchange(&mut self, nodes: &mut [&mut N], at: Time) -> Option<Time>;
+
+    /// The due list of the epoch ending at `end`: the indices, in
+    /// ascending order, of the nodes it must advance. Called once
+    /// before every epoch, the first included, with the same access as
+    /// the exchange. A node left off must be provably idle until `end`
+    /// (its advance would only move its clock), because the engine
+    /// does not touch it. `None`, the default, advances every node.
+    fn due(&mut self, nodes: &[&mut N], end: Time) -> Option<&[usize]> {
+        let _ = (nodes, end);
+        None
+    }
+}
+
+/// A bare exchange closure, with every node due in every epoch.
+pub(crate) struct EveryNode<'a, X>(pub(crate) &'a mut X);
+
+impl<N, X> EpochExchange<N> for EveryNode<'_, X>
+where
+    X: FnMut(&mut [&mut N], Time) -> Option<Time>,
+{
+    fn exchange(&mut self, nodes: &mut [&mut N], at: Time) -> Option<Time> {
+        (self.0)(nodes, at)
+    }
 }
 
 /// Epoch-engine tuning.
@@ -282,7 +321,9 @@ impl EpochStats {
 
 /// Advances `nodes` from `from` to `horizon` in lookahead-sized
 /// epochs, invoking `exchange` at every barrier with exclusive,
-/// in-order access to all nodes and the barrier instant.
+/// in-order access to all nodes and the barrier instant. Every node is
+/// advanced in every epoch; [`run_epochs_reusing`] takes an
+/// [`EpochExchange`] that can name a due list instead.
 ///
 /// The exchange may return a **next-barrier proposal**: `Some(t)`
 /// schedules the next barrier at `t` (clamped to `horizon`) instead of
@@ -319,13 +360,42 @@ where
         from,
         horizon,
         cfg,
-        exchange,
+        &mut EveryNode(exchange),
         &mut EpochScratch::default(),
     )
 }
 
-/// [`run_epochs`] with a caller-held [`EpochScratch`], for callers
+/// Runs the exchange at the barrier `at`, counting the barrier and
+/// the exchange's wall time into `stats`, and returns the next
+/// barrier: the exchange's proposal, or one lookahead out, clamped to
+/// `horizon`; `None` once `at` is the horizon.
+fn cross_barrier<N, X: EpochExchange<N>>(
+    exchange: &mut X,
+    nodes: &mut [&mut N],
+    at: Time,
+    cfg: &EpochConfig,
+    horizon: Time,
+    stats: &mut EpochStats,
+) -> Option<Time> {
+    let hint = {
+        let _span = HotSpot::enter(Subsystem::Exchange);
+        let t_ex = Instant::now();
+        let hint = exchange.exchange(nodes, at);
+        stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
+        hint
+    };
+    stats.barriers += 1;
+    if let Some(h) = hint {
+        assert!(h > at, "exchange proposed a non-advancing barrier");
+    }
+    (at < horizon).then(|| horizon.min(hint.unwrap_or(at + cfg.lookahead)))
+}
+
+/// [`run_epochs`] driven by an [`EpochExchange`], which names each
+/// epoch's due list, with a caller-held [`EpochScratch`] for callers
 /// that run many horizons and must not allocate per call once warm.
+/// Each epoch advances only the nodes on its due list; on the parallel
+/// path the workers stride over that list.
 pub fn run_epochs_reusing<N, X>(
     nodes: &mut Vec<N>,
     from: Time,
@@ -336,7 +406,7 @@ pub fn run_epochs_reusing<N, X>(
 ) -> EpochStats
 where
     N: EpochNode,
-    X: FnMut(&mut [&mut N], Time) -> Option<Time>,
+    X: EpochExchange<N>,
 {
     assert!(!cfg.lookahead.is_zero(), "zero lookahead");
     let mut stats = EpochStats::default();
@@ -345,67 +415,59 @@ where
     }
     let t_run = Instant::now();
     let workers = cfg.workers.clamp(1, nodes.len());
+    let mut end = horizon.min(from + cfg.lookahead);
     if workers == 1 {
-        let mut cur = from;
-        let mut hint: Option<Time> = None;
-        // Reused across epochs — and, via the caller's scratch, across
-        // calls — so the steady-state loop performs no heap allocation
-        // (the profiler showed the per-epoch `Vec<&mut N>` rebuild
-        // dominating allocator traffic on busy serial runs).
+        // One node slice for the whole call, reused from the caller's
+        // scratch, so the steady-state loop performs no heap
+        // allocation and builds nothing per barrier.
         let buf = &mut scratch.0;
-        while cur < horizon {
-            let end = horizon.min(hint.take().unwrap_or(cur + cfg.lookahead));
-            for n in nodes.iter_mut() {
-                n.advance_to(end);
+        buf.clear();
+        buf.extend(nodes.iter_mut().map(|n| n as *mut N as usize));
+        // SAFETY: the words were just written from pointers to
+        // distinct elements of `nodes`, which this function borrows
+        // exclusively and does not touch again while `refs` lives.
+        let refs = unsafe { words_as_refs::<N>(buf) };
+        loop {
+            match exchange.due(refs, end) {
+                None => refs.iter_mut().for_each(|n| n.advance_to(end)),
+                Some(due) => due.iter().for_each(|&i| refs[i].advance_to(end)),
             }
-            buf.clear();
-            buf.extend(nodes.iter_mut().map(|n| n as *mut N as usize));
-            // SAFETY: the words were just written from pointers to
-            // distinct elements of `nodes`, which this function
-            // borrows exclusively; the slice dies at the end of the
-            // exchange call, before `nodes` is touched again.
-            let refs = unsafe { words_as_refs::<N>(buf) };
-            {
-                let _span = HotSpot::enter(Subsystem::Exchange);
-                let t_ex = Instant::now();
-                hint = exchange(refs, end);
-                stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
+            match cross_barrier(exchange, refs, end, cfg, horizon, &mut stats) {
+                Some(next) => end = next,
+                None => break,
             }
-            stats.barriers += 1;
-            if let Some(h) = hint {
-                assert!(h > end, "exchange proposed a non-advancing barrier");
-            }
-            cur = end;
         }
         stats.wall_ns = t_run.elapsed().as_nanos() as u64;
         return stats;
     }
 
     // Parallel path: nodes live in per-node mutexes for the duration.
-    // Workers own disjoint strided subsets during an epoch, and the
-    // exchange takes every lock between barriers, so locks are never
-    // contended — they only launder the aliasing for the borrow
-    // checker. The calling thread doubles as worker 0, acts as the
-    // barrier *leader*, and runs the serial exchange inside the
-    // crossing itself, so each epoch costs exactly one generation
-    // flip:
+    // Workers own disjoint strided slices of the due list during an
+    // epoch, and the exchange takes every lock between barriers, so
+    // locks are never contended — they only launder the aliasing for
+    // the borrow checker. The calling thread doubles as worker 0, acts
+    // as the barrier *leader*, and runs the serial exchange (and the
+    // next epoch's due list) inside the crossing itself, so each epoch
+    // costs exactly one generation flip:
     //
-    //   leader: release (publish end) → advance stride 0 → collect →
-    //           exchange → release the next epoch …
+    //   leader: due list → release (publish end) → advance stride 0 →
+    //           collect → exchange → due list → release the next epoch …
     //   follower: wait → advance stride → arrive → wait …
     //
     // Combined with the adaptive grid rule (the exchange's
     // next-barrier proposal), one flip can carry the whole fleet
     // across many provably-quiet grid points at once — epoch batching.
     let cells: Vec<Mutex<N>> = nodes.drain(..).map(Mutex::new).collect();
+    // Written by the leader only while every follower waits at the
+    // barrier; read by all workers during the epoch.
+    let due_list: RwLock<Vec<usize>> = RwLock::new(Vec::with_capacity(cells.len()));
     let epoch_end_ns = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let barrier = HybridBarrier::new(workers, spin_budget(workers));
     let advance_stride = |w: usize, end: Time| {
-        let mut i = w;
-        while i < cells.len() {
+        let due = due_list.read().expect("due list poisoned");
+        for &i in due.iter().skip(w).step_by(workers) {
             cells[i].lock().expect("node poisoned").advance_to(end);
-            i += workers;
         }
     };
     std::thread::scope(|s| {
@@ -428,8 +490,12 @@ where
                 }
             });
         }
-        let mut cur = from;
-        let mut hint: Option<Time> = None;
+        // Declared before the guards, so on the way out they unlock
+        // first.
+        let _shutdown = Shutdown {
+            barrier: &barrier,
+            done: &done,
+        };
         // Persistent per-epoch buffers: `Mutex::lock` takes `&self`,
         // so the guard vector borrows `cells` immutably and can be
         // cleared and refilled every epoch without reallocating.
@@ -437,9 +503,32 @@ where
         // `leader_release` or the workers would deadlock on their
         // strides.
         let mut guards: Vec<MutexGuard<'_, N>> = Vec::with_capacity(cells.len());
-        let mut scratch: Vec<*mut N> = Vec::with_capacity(cells.len());
-        while cur < horizon {
-            let end = horizon.min(hint.take().unwrap_or(cur + cfg.lookahead));
+        let mut words: Vec<usize> = Vec::with_capacity(cells.len());
+        // The barrier the last epoch ended at: none before the first.
+        let mut last: Option<Time> = None;
+        loop {
+            guards.extend(cells.iter().map(|c| c.lock().expect("node poisoned")));
+            words.clear();
+            words.extend(guards.iter_mut().map(|g| &mut **g as *mut N as usize));
+            {
+                // SAFETY: the words address distinct nodes behind the
+                // guards held in `guards`; the slice dies at the end of
+                // this block, before the guards are released.
+                let refs = unsafe { words_as_refs::<N>(&mut words) };
+                if let Some(at) = last {
+                    match cross_barrier(exchange, refs, at, cfg, horizon, &mut stats) {
+                        Some(next) => end = next,
+                        None => break,
+                    }
+                }
+                let mut due = due_list.write().expect("due list poisoned");
+                due.clear();
+                match exchange.due(refs, end) {
+                    None => due.extend(0..cells.len()),
+                    Some(list) => due.extend_from_slice(list),
+                }
+            }
+            guards.clear(); // unlock before the epoch opens
             epoch_end_ns.store(end.as_ns(), Ordering::Release);
             barrier.leader_release(); // open the epoch
             advance_stride(0, end);
@@ -447,28 +536,8 @@ where
                 let _span = HotSpot::enter(Subsystem::Barrier);
                 barrier.leader_collect(); // every follower advanced
             }
-            guards.extend(cells.iter().map(|c| c.lock().expect("node poisoned")));
-            scratch.clear();
-            scratch.extend(guards.iter_mut().map(|g| &mut **g as *mut N));
-            // SAFETY: the pointers address distinct nodes behind the
-            // guards held in `guards`; the slice dies at the end of
-            // the exchange call, before the guards are released.
-            let refs = unsafe { scratch_as_refs(&mut scratch) };
-            {
-                let _span = HotSpot::enter(Subsystem::Exchange);
-                let t_ex = Instant::now();
-                hint = exchange(refs, end);
-                stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
-            }
-            guards.clear(); // unlock before the next epoch opens
-            stats.barriers += 1;
-            if let Some(h) = hint {
-                assert!(h > end, "exchange proposed a non-advancing barrier");
-            }
-            cur = end;
+            last = Some(end);
         }
-        done.store(true, Ordering::Release);
-        barrier.leader_release(); // release followers into shutdown
     });
     nodes.extend(
         cells
@@ -549,6 +618,78 @@ mod tests {
         let base = run(1, 7);
         for workers in [2, 4, 16] {
             assert_eq!(run(workers, 7), base, "workers={workers}");
+        }
+    }
+
+    /// An agenda that lists node `i` in the epochs `k` with
+    /// `k % (i + 1) == 0`, and an exchange that hands every node the
+    /// barrier instant.
+    struct Sparse {
+        epoch: usize,
+        due: Vec<usize>,
+    }
+
+    impl EpochExchange<Probe> for Sparse {
+        fn exchange(&mut self, nodes: &mut [&mut Probe], at: Time) -> Option<Time> {
+            for n in nodes.iter_mut() {
+                n.inbox += at.as_ns();
+            }
+            None
+        }
+
+        fn due(&mut self, nodes: &[&mut Probe], _end: Time) -> Option<&[usize]> {
+            let k = self.epoch;
+            self.epoch += 1;
+            self.due.clear();
+            self.due
+                .extend((0..nodes.len()).filter(|&i| k.is_multiple_of(i + 1)));
+            Some(&self.due)
+        }
+    }
+
+    #[test]
+    fn due_lists_pick_the_nodes_each_epoch_advances() {
+        let run = |workers: usize| {
+            let mut nodes: Vec<Probe> = (0..5)
+                .map(|_| Probe {
+                    horizons: Vec::new(),
+                    inbox: 0,
+                })
+                .collect();
+            let cfg = EpochConfig {
+                lookahead: Duration::from_us(100),
+                workers,
+            };
+            let mut sparse = Sparse {
+                epoch: 0,
+                due: Vec::new(),
+            };
+            let stats = run_epochs_reusing(
+                &mut nodes,
+                Time::ZERO,
+                Time::from_us(1000),
+                &cfg,
+                &mut sparse,
+                &mut EpochScratch::default(),
+            );
+            assert_eq!(stats.barriers, 10);
+            nodes
+                .into_iter()
+                .map(|n| (n.horizons, n.inbox))
+                .collect::<Vec<_>>()
+        };
+        let base = run(1);
+        for (i, (horizons, inbox)) in base.iter().enumerate() {
+            let expect: Vec<Time> = (0..10u64)
+                .filter(|k| k % (i as u64 + 1) == 0)
+                .map(|k| Time::from_us(100 * (k + 1)))
+                .collect();
+            assert_eq!(horizons, &expect, "node {i}");
+            // The exchange still reaches every node at every barrier.
+            assert_eq!(*inbox, (1..=10u64).map(|k| k * 100_000).sum::<u64>());
+        }
+        for workers in [2, 3, 8] {
+            assert_eq!(run(workers), base, "workers={workers}");
         }
     }
 

@@ -11,13 +11,14 @@
 //! another segment.
 //!
 //! [`run_two_level`] is that composition: the outer engine is
-//! [`run_epochs`] over [`EpochGroup`]s (one per segment), each group's
-//! `advance_group` runs its own serial inner epoch loop, and the outer
-//! exchange moves frames between groups at inter-segment barriers. The
-//! determinism argument stacks: inner loops are serial per group and
-//! touch only group-local state, groups share nothing between outer
-//! barriers, and the outer exchange is serial in group order — so the
-//! result is bit-for-bit identical for any outer worker count.
+//! [`run_epochs`] over [`EpochGroup`]s (one per segment), advancing
+//! every group in every outer epoch; each group's `advance_group` runs
+//! its own serial inner epoch loop, and the outer exchange moves frames
+//! between groups at inter-segment barriers. The determinism argument
+//! stacks: inner loops are serial per group and touch only group-local
+//! state, groups share nothing between outer barriers, and the outer
+//! exchange is serial in group order — so the result is bit-for-bit
+//! identical for any outer worker count.
 //!
 //! Both levels inherit [`run_epochs`]'s synchronization machinery
 //! wholesale: outer workers cross the hybrid spin-then-park barrier
@@ -41,8 +42,12 @@
 //! from. Proposals change which barrier instants exist, not what any
 //! group computes between them, so determinism across outer worker
 //! counts is preserved verbatim.
+//!
+//! [`run_epochs`]: crate::run_epochs
 
-use crate::cluster::{run_epochs, EpochConfig, EpochNode, EpochStats};
+use crate::cluster::{
+    run_epochs_reusing, words_as_refs, EpochConfig, EpochNode, EpochScratch, EpochStats, EveryNode,
+};
 use crate::time::Time;
 
 /// A self-contained sub-executive (e.g. one bus segment and its nodes)
@@ -73,8 +78,9 @@ impl TwoLevelStats {
     }
 }
 
-/// Adapter: lets the outer [`run_epochs`] drive a group as a node
-/// while collecting the inner loops' stats.
+/// Adapter: lets the outer [`crate::run_epochs`] engine drive a group
+/// as a node while collecting the inner loops' stats.
+#[derive(Debug)]
 struct GroupCell<G> {
     group: G,
     inner: EpochStats,
@@ -87,12 +93,31 @@ impl<G: EpochGroup> EpochNode for GroupCell<G> {
     }
 }
 
+/// Reusable buffers of [`run_two_level`], held by a caller that runs
+/// many horizons, so that a warmed serial call allocates nothing.
+#[derive(Debug)]
+pub struct TwoLevelScratch<G> {
+    cells: Vec<GroupCell<G>>,
+    groups: Vec<usize>,
+    outer: EpochScratch,
+}
+
+impl<G> Default for TwoLevelScratch<G> {
+    fn default() -> Self {
+        TwoLevelScratch {
+            cells: Vec::new(),
+            groups: Vec::new(),
+            outer: EpochScratch::default(),
+        }
+    }
+}
+
 /// Advances `groups` from `from` to `horizon` in outer epochs of
 /// `cfg.lookahead` (the inter-group latency), running each group's own
 /// inner epoch loop in parallel between outer barriers and invoking
 /// `exchange` serially at every barrier with in-order access to all
-/// groups. The exchange may return a next-barrier proposal exactly as
-/// in [`run_epochs`].
+/// groups. Every group advances in every outer epoch. The exchange may
+/// return a next-barrier proposal exactly as in [`crate::run_epochs`].
 ///
 /// # Panics
 ///
@@ -103,34 +128,39 @@ pub fn run_two_level<G, X>(
     horizon: Time,
     cfg: &EpochConfig,
     exchange: &mut X,
+    scratch: &mut TwoLevelScratch<G>,
 ) -> TwoLevelStats
 where
     G: EpochGroup,
     X: FnMut(&mut [&mut G], Time) -> Option<Time>,
 {
-    let mut cells: Vec<GroupCell<G>> = groups
-        .drain(..)
-        .map(|group| GroupCell {
-            group,
-            inner: EpochStats::default(),
-        })
-        .collect();
-    // Reused across outer barriers: the adapter slice is rebuilt each
-    // exchange but never reallocates once warmed.
-    let mut scratch: Vec<*mut G> = Vec::with_capacity(cells.len());
-    let outer = run_epochs(&mut cells, from, horizon, cfg, &mut |cells, at| {
-        scratch.clear();
-        scratch.extend(cells.iter_mut().map(|c| &mut c.group as *mut G));
-        // SAFETY: the pointers address distinct groups behind the
+    let TwoLevelScratch {
+        cells,
+        groups: words,
+        outer: outer_scratch,
+    } = scratch;
+    cells.extend(groups.drain(..).map(|group| GroupCell {
+        group,
+        inner: EpochStats::default(),
+    }));
+    let mut adapter = |cells: &mut [&mut GroupCell<G>], at: Time| {
+        words.clear();
+        words.extend(cells.iter_mut().map(|c| &mut c.group as *mut G as usize));
+        // SAFETY: the words address distinct groups behind the
         // exclusive `cells` slice handed to this closure; the re-cast
         // slice dies at the end of the exchange call.
-        let refs = unsafe {
-            std::slice::from_raw_parts_mut(scratch.as_mut_ptr().cast::<&mut G>(), scratch.len())
-        };
-        exchange(refs, at)
-    });
+        exchange(unsafe { words_as_refs::<G>(words) }, at)
+    };
+    let outer = run_epochs_reusing(
+        cells,
+        from,
+        horizon,
+        cfg,
+        &mut EveryNode(&mut adapter),
+        outer_scratch,
+    );
     let mut inner = EpochStats::default();
-    for cell in cells {
+    for cell in cells.drain(..) {
         inner.merge(&cell.inner);
         groups.push(cell.group);
     }
@@ -190,6 +220,7 @@ mod tests {
                 }
                 None
             },
+            &mut TwoLevelScratch::default(),
         );
         assert_eq!(stats.outer.barriers, 5);
         assert!(stats.inner.barriers > 0);
@@ -251,6 +282,7 @@ mod tests {
                 // the fixed cadence.
                 (at < Time::from_us(300)).then(|| Time::from_us(400))
             },
+            &mut TwoLevelScratch::default(),
         );
         (
             groups.into_iter().map(|g| g.boundaries).collect(),

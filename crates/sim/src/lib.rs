@@ -43,12 +43,12 @@ pub mod trace;
 
 pub use account::{Accounting, OverheadKind};
 pub use cluster::{
-    run_epochs, run_epochs_reusing, EpochConfig, EpochNode, EpochScratch, EpochStats,
+    run_epochs, run_epochs_reusing, EpochConfig, EpochExchange, EpochNode, EpochScratch, EpochStats,
 };
 #[cfg(feature = "alloc-count")]
 pub use count_alloc::CountingAlloc;
 pub use event::EventQueue;
-pub use hierarchy::{run_two_level, EpochGroup, TwoLevelStats};
+pub use hierarchy::{run_two_level, EpochGroup, TwoLevelScratch, TwoLevelStats};
 pub use histogram::DurationHistogram;
 pub use ids::{
     CvId, DevId, EventId, IrqLine, MboxId, NodeId, ProcId, RegionId, SemId, StateId, ThreadId,

@@ -12,8 +12,12 @@
 //! - a quiet-bus cluster stretch, where the epoch executive proves
 //!   idleness and crosses barriers without staging a frame;
 //! - a busy cluster window, where every barrier harvests, arbitrates
-//!   and stages frames while idle nodes defer their advance (the wake
-//!   cache and the per-barrier visit list).
+//!   and stages frames while idle nodes stay off the agenda (the keys,
+//!   the due list and the per-barrier visit list);
+//! - a busy two-segment topology window, where each segment runs that
+//!   agenda inside every outer epoch and the gateway captures and
+//!   forwards cross-segment frames at the outer barriers (the
+//!   two-level engine's buffers and `remote_out` are reused).
 //!
 //! Any new allocation on these paths (a `clone` in the dispatch loop,
 //! a fresh `Vec` per epoch, a far-bucket promotion that outgrows the
@@ -24,7 +28,7 @@
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::{addressed_tag, Cluster};
+use emeralds::fieldbus::{addressed_tag, wide_tag, Cluster, GatewayConfig, GatewayId, Topology};
 use emeralds::sim::count_alloc;
 use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
@@ -212,4 +216,97 @@ fn busy_cluster_window_allocates_nothing() {
         "no broadcast fan-out: {s:?}"
     );
     assert_eq!(s.frames_dropped, 0, "{s:?}");
+}
+
+/// Two 1 Mbit/s segments of six nodes joined by one gateway. Each node
+/// sends to its segment successor every 1.2–1.7 ms and to its twin on
+/// the other segment every 2–2.5 ms, and drains its RX mailbox from an
+/// interrupt-driven driver. There are no broadcasts: the bridge NICs
+/// the topology builds record a full trace, whose storage grows with
+/// every frame they hear (the other windows build their kernels
+/// non-recording for the same reason). `busy_cluster` covers the
+/// broadcast staging path.
+fn busy_topology() -> Topology {
+    const PER: usize = 6;
+    let mut t = Topology::new().with_workers(1);
+    let segs = [t.add_segment(1_000_000), t.add_segment(1_000_000)];
+    for (s, &seg) in segs.iter().enumerate() {
+        for j in 0..PER {
+            let i = s * PER + j;
+            let mut b = KernelBuilder::new(KernelConfig {
+                policy: SchedPolicy::RmQueue,
+                record_trace: false,
+                ..KernelConfig::default()
+            });
+            let p = b.add_process(format!("n{i}"));
+            let tx = b.add_mailbox(8);
+            let rx = b.add_mailbox(16);
+            b.board_mut().add_nic("can", NIC_IRQ);
+            let local = NodeId((s * PER + (j + 1) % PER) as u32);
+            let twin = NodeId(((1 - s) * PER + j) as u32);
+            for (name, period_us, dst) in [
+                ("local", 1_200 + 100 * j as u64, local),
+                ("cross", 2_000 + 100 * j as u64, twin),
+            ] {
+                b.add_periodic_task(
+                    p,
+                    name,
+                    Duration::from_us(period_us),
+                    Script::periodic(vec![
+                        Action::Compute(Duration::from_us(20)),
+                        Action::SendMbox {
+                            mbox: tx,
+                            bytes: 8,
+                            tag: wide_tag(Some(dst), i as u32),
+                        },
+                    ]),
+                );
+            }
+            b.add_driver_task(
+                p,
+                "nicdrv",
+                Duration::from_ms(1),
+                Script::looping(vec![
+                    Action::RecvMbox(rx),
+                    Action::Compute(Duration::from_us(15)),
+                ]),
+            );
+            t.add_node(
+                seg,
+                format!("n{i}"),
+                b.build(),
+                tx,
+                rx,
+                NIC_IRQ,
+                (j + 2) as u32,
+            );
+        }
+    }
+    t.add_gateway(segs[0], segs[1], GatewayConfig::default());
+    t
+}
+
+#[test]
+fn busy_topology_window_allocates_nothing() {
+    let mut t = busy_topology();
+    t.run_until(Time::from_ms(60));
+    let sent = t.total_stats().frames_sent;
+    let forwarded = t.gateway_stats(GatewayId(0)).forwarded;
+    let before = count_alloc::thread_alloc_count();
+    t.run_until(Time::from_ms(120));
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "busy topology window made {delta} heap allocations"
+    );
+    // The window carried local and cross-segment traffic.
+    let s = t.total_stats();
+    assert!(s.frames_sent - sent > 400, "{s:?}");
+    assert_eq!(s.frames_dropped, 0, "{s:?}");
+    assert!(
+        t.gateway_stats(GatewayId(0)).forwarded - forwarded > 100,
+        "{:?}",
+        t.gateway_stats(GatewayId(0))
+    );
+    assert!(t.conservation().holds(), "{:?}", t.conservation());
 }

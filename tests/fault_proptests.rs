@@ -22,7 +22,7 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{addressed_tag, Cluster};
+use emeralds::fieldbus::{addressed_tag, Cluster, ErrorConfig};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, ThreadId, Time};
 
 /// The frame-conservation invariant, checked wherever a cluster is
@@ -42,6 +42,15 @@ const CASES: u64 = 16;
 /// A minimal node: one idle periodic task keeps the kernel alive;
 /// frames are injected and observed externally through the mailboxes.
 fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine) {
+    shell_node_idling(tx_cap, rx_cap, Duration::from_ms(5))
+}
+
+/// [`shell_node`] with the idle task's period given.
+fn shell_node_idling(
+    tx_cap: usize,
+    rx_cap: usize,
+    idle_period: Duration,
+) -> (Kernel, MboxId, MboxId, IrqLine) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
@@ -55,7 +64,7 @@ fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine)
     b.add_periodic_task(
         p,
         "idle",
-        Duration::from_ms(5),
+        idle_period,
         Script::compute_only(Duration::from_us(10)),
     );
     (b.build(), tx, rx, line)
@@ -245,6 +254,47 @@ fn busoff_silences_babbler_until_recovery() {
         let start = rng.int_in(200, 1500);
         check_busoff_contains(period, start);
     }
+}
+
+/// A node that bus-off strands with nothing else to do still recovers
+/// on time. Every grant is corrupted, so `src` goes bus-off after 32
+/// flagged grants and its backlog is purged; from then on neither node
+/// has a kernel event before its 20 ms idle release, so only the
+/// executive's own watch on bus-off nodes can complete the recovery.
+/// It must land at the first barrier at or after the 1 408 µs recovery
+/// time, so no later than one lookahead window after it.
+#[test]
+fn stranded_busoff_node_recovers_within_one_window() {
+    let mut net = Cluster::new(1_000_000);
+    let (k0, tx0, rx0, irq0) = shell_node_idling(64, 8, Duration::from_ms(20));
+    let (k1, tx1, rx1, irq1) = shell_node_idling(8, 64, Duration::from_ms(20));
+    let src = net.add_node("src", k0, tx0, rx0, irq0, 10);
+    let sink = net.add_node("sink", k1, tx1, rx1, irq1, 20);
+    net.set_fault_plan(&FaultPlan::new(7).with_corruption(1.0));
+    for i in 0..40u32 {
+        assert!(net.node_mut(src).kernel.external_mbox_push(
+            tx0,
+            Message {
+                bytes: 8,
+                tag: addressed_tag(Some(sink), i),
+                sender: ThreadId(0),
+            }
+        ));
+    }
+    net.run_until(Time::from_ms(18));
+    let s = net.node_stats(src);
+    assert!(s.bus_off_events >= 1, "src never went bus-off: {s:?}");
+    assert_eq!(
+        s.bus_off_recoveries, s.bus_off_events,
+        "a stranded bus-off node never recovered"
+    );
+    let bound = ErrorConfig::default().recovery_time(1_000_000) + net.lookahead();
+    assert!(
+        s.recovery_hist.max() <= bound,
+        "recovery took {:?}, bound {bound:?}",
+        s.recovery_hist.max()
+    );
+    assert_frames_conserved(&net, "stranded bus-off");
 }
 
 /// Frame conservation must hold *at the failure boundary itself*, not
